@@ -8,7 +8,7 @@ n <= 12 regime this toolkit targets.
 
 from .poset import Poset, iter_bits
 
-__all__ = ["canonical_form", "is_isomorphic", "invariant"]
+__all__ = ["canonical_form", "is_isomorphic"]
 
 
 def _refined_colors(p: Poset) -> list[int]:
@@ -38,11 +38,6 @@ def _refined_colors(p: Poset) -> list[int]:
 def _rank(signatures: list) -> list[int]:
     order = {s: i for i, s in enumerate(sorted(set(signatures)))}
     return [order[s] for s in signatures]
-
-
-def invariant(p: Poset) -> tuple:
-    """Cheap isomorphism invariant (complete enough for bucketing)."""
-    return (p.n, tuple(sorted(_refined_colors(p))))
 
 
 def _twins(p: Poset, u: int, w: int) -> bool:

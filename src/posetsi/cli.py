@@ -3,7 +3,8 @@
 Posets are given as named families (chain:n, antichain:n, zigzag:n,
 grid:m:n), as files in the line-oriented text format, or as '-' for
 standard input. Exit codes: 0 success, 1 verification failure, 2
-malformed input, 3 resource cap exceeded.
+malformed input, 3 resource cap exceeded or out of memory or recursion
+depth.
 """
 
 import argparse
@@ -129,12 +130,9 @@ def _cmd_domino(args) -> int:
             f"  sign {item['sign']}  quotient e {item['quotient_e']}"
             f"  adapted {item['adapted_count']}"
         )
-    lines.append(f"si (quotient route) = {domino.si_via_quotients(p)}")
-    _emit(
-        args,
-        {"tableaux": items, "si": str(domino.si_via_quotients(p))},
-        lines,
-    )
+    si = domino.si_via_quotients(p)
+    lines.append(f"si (quotient route) = {si}")
+    _emit(args, {"tableaux": items, "si": str(si)}, lines)
     return 0
 
 
@@ -331,17 +329,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(s):
         s.add_argument("--json", action="store_true", help="machine output")
-        s.add_argument("--downset-cap", type=int, default=DOWNSET_CAP)
-        s.add_argument("--enum-cap", type=int, default=ENUM_CAP)
         s.set_defaults(func=None)
         return s
 
+    def downset_cap(s):
+        s.add_argument(
+            "--downset-cap", type=int, default=DOWNSET_CAP,
+            help="exit 3 once the counting DP would store more than this "
+            "many distinct down-sets (order ideals, the empty one included)",
+        )
+
     s = common(sub.add_parser("count", help="number of linear extensions"))
     _add_poset_arg(s)
+    downset_cap(s)
     s.set_defaults(func=_cmd_count)
 
     s = common(sub.add_parser("si", help="sign imbalance by three routes"))
     _add_poset_arg(s)
+    downset_cap(s)
+    s.add_argument(
+        "--enum-cap", type=int, default=ENUM_CAP,
+        help="enumerate extensions for the brute-force route only when "
+        "e is at most this",
+    )
     s.set_defaults(func=_cmd_si)
 
     s = common(sub.add_parser("domino", help="list domino tableaux"))
@@ -412,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ResourceLimit as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except (MemoryError, RecursionError) as exc:
+        print(f"out of resources: {type(exc).__name__} {exc}", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,7 +78,7 @@ def primes_never_dividing(bound: int) -> list[int]:
     out = []
     for q in _primes_upto(bound):
         em = euler_numbers_mod(3 * q, q)
-        if all(x != 0 for x in em[:q]) and all(x != 0 for x in em):
+        if 0 not in em:
             out.append(q)
     return out
 

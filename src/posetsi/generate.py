@@ -7,37 +7,16 @@ cached per (size, height bound) for reuse across sweeps.
 """
 
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_form
+from .linext import _layers
 from .poset import Poset
 
-__all__ = ["enumerate_posets", "ideal_masks", "poset_class_count"]
+__all__ = ["enumerate_posets", "poset_class_count"]
 
 # unlabeled posets on 0..8 elements, used as a generation self-check
 CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
-
-
-def ideal_masks(p: Poset) -> list[int]:
-    """All lower order ideals of p as bitmasks (the empty ideal included)."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            free = ~mask & ((1 << p.n) - 1)
-            while free:
-                low = free & -free
-                free ^= low
-                x = low.bit_length() - 1
-                if p.down[x] & ~mask:
-                    continue
-                new = mask | low
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return sorted(seen)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -58,9 +37,9 @@ def _classes(n: int, max_height: int | None) -> tuple[Poset, ...]:
     for rep in _classes(n - 1, max_height):
         if max_height == 2:
             # new maximal element over minimal elements only keeps height <= 2
-            choices: Iterator[int] = _submasks(rep.minimal_mask)
+            choices: Iterable[int] = _submasks(rep.minimal_mask)
         else:
-            choices = iter(ideal_masks(rep))
+            choices = sorted(mask for layer in _layers(rep) for mask in layer)
         for down_mask in choices:
             cand = rep.add_maximal(down_mask)
             key = canonical_form(cand)

@@ -5,12 +5,20 @@ A linear extension is stored as its label array ``labels`` with
 ``labels[x]`` in 1..n. The sign convention fixes the reference bijection
 to the identity on element indices, so sgn is the inversion parity of the
 label array; imbalance is independent of that choice.
+
+One walk over the lattice of down-sets, ``_layers``, serves every exact
+count: e(P), the signed sum, e(P) mod q and the list of down-sets that
+poset generation attaches new elements over. It stores one popcount
+layer at a time and raises :class:`ResourceLimit` the moment the number
+of stored down-sets would pass the cap, before the rest of the layer is
+built. Enumeration (``_extension_orders``) is a separate depth-first
+walk, so that it can stop after the first k extensions.
 """
 
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidExtension, ResourceLimit
-from .poset import Poset, iter_bits, stats
+from .poset import Poset, iter_bits
 
 __all__ = [
     "SignedCount",
@@ -61,19 +69,29 @@ def sign(p: Poset, labels: tuple[int, ...]) -> int:
     return -1 if inv & 1 else 1
 
 
-def _layered_dp(p: Poset, init, step, downset_cap: int):
-    """Run a DP over the lattice of down-sets, one popcount layer at a time.
+def _layers(
+    p: Poset, downset_cap: int = DOWNSET_CAP, signed: bool = False
+) -> Iterator[dict[int, int]]:
+    """Walk the lattice of down-sets one popcount layer at a time.
 
-    ``init`` is the value at the empty ideal; ``step(value, mask, x)`` maps
-    the value at ideal ``mask`` to the contribution of appending x.
+    Yields layer k as ``{down-set mask: count}`` for k = 0..n, where count
+    is the number of ways to build the down-set one minimal element at a
+    time; the last layer is ``{full mask: e(P)}``. Appending x gives it
+    the next label, which creates one inversion per placed element with a
+    larger index, so with ``signed`` each way is weighted by
+    (-1)**popcount(down-set & indices-above-x) and the last layer holds
+    the signed sum instead. Every distinct down-set, the empty one
+    included, counts toward ``downset_cap`` as it is stored.
     """
     n = p.n
     full = (1 << n) - 1
     down = p.down
-    cur = {0: init}
-    visited = 1
-    for _ in range(n):
-        nxt: dict = {}
+    high = [full & ~((1 << (x + 1)) - 1) for x in range(n)]
+    cur = {0: 1}
+    stored = 1
+    yield cur
+    for k in range(1, n + 1):
+        nxt: dict[int, int] = {}
         for mask, val in cur.items():
             free = ~mask & full
             while free:
@@ -83,53 +101,45 @@ def _layered_dp(p: Poset, init, step, downset_cap: int):
                 if down[x] & ~mask:
                     continue
                 new = mask | low
-                add = step(val, mask, x)
+                add = -val if signed and (mask & high[x]).bit_count() & 1 else val
                 if new in nxt:
                     nxt[new] += add
                 else:
+                    stored += 1
+                    if stored > downset_cap:
+                        raise ResourceLimit(
+                            f"down-set count exceeded cap {downset_cap} in layer "
+                            f"{k} of {n}; raise it with --downset-cap"
+                        )
                     nxt[new] = add
+        yield nxt
         cur = nxt
-        visited += len(cur)
-        if visited > downset_cap:
-            raise ResourceLimit(f"down-set count exceeded cap {downset_cap}")
-    return cur[full]
+
+
+def _full_count(p: Poset, downset_cap: int, signed: bool = False) -> int:
+    """The count at the full down-set, read from the walk's last layer."""
+    for layer in _layers(p, downset_cap, signed):
+        pass
+    return layer[(1 << p.n) - 1]
 
 
 def count_extensions(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
     """Exact e(P) by dynamic programming over down-sets."""
-    if p.n == 0:
-        return 1
-    return _layered_dp(p, 1, lambda val, mask, x: val, downset_cap)
+    return _full_count(p, downset_cap)
 
 
 def signed_count(p: Poset, downset_cap: int = DOWNSET_CAP) -> SignedCount:
-    """e(P) together with the exact signed sum over all extensions.
-
-    Appending x to the ideal assigns it the next label, which creates one
-    inversion per already-placed element with a larger index; the weight
-    is therefore (-1)**popcount(ideal & indices-above-x).
-    """
-    n = p.n
-    if n == 0:
-        return SignedCount(1, 1, 1)
-    full = (1 << n) - 1
-    high = [full & ~((1 << (x + 1)) - 1) for x in range(n)]
-
-    def step(val, mask, x):
-        return -val if (mask & high[x]).bit_count() & 1 else val
-
-    total = count_extensions(p, downset_cap)
-    sgn = _layered_dp(p, 1, step, downset_cap)
+    """e(P) together with the exact signed sum over all extensions."""
+    total = _full_count(p, downset_cap)
+    sgn = _full_count(p, downset_cap, signed=True)
     return SignedCount(total, sgn, abs(sgn))
 
 
 def count_mod(p: Poset, q: int, downset_cap: int = DOWNSET_CAP) -> int:
-    """e(P) mod q via the same down-set DP with modular arithmetic."""
+    """e(P) mod q, reduced from the exact count."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    if p.n == 0:
-        return 1 % q
-    return _layered_dp(p, 1 % q, lambda val, mask, x: val % q, downset_cap) % q
+    return _full_count(p, downset_cap) % q
 
 
 def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:

@@ -151,9 +151,6 @@ class Poset:
         up.append(0)
         return Poset(v + 1, tuple(up))
 
-    def dual(self) -> "Poset":
-        return Poset(self.n, self.down)
-
 
 def from_covers(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Transitive closure of the pairs (u, v) meaning u < v.

@@ -184,6 +184,30 @@ def test_exit_code_resource(capsys):
     assert "cap" in err
 
 
+def test_caps_only_on_count_and_si(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["domino", "grid:2:2", "--downset-cap", "5"])
+    assert exc.value.code == 2
+    assert "--downset-cap" in capsys.readouterr().err
+
+
+def test_exit_code_recursion(capsys):
+    # the brute-force route enumerates the one extension depth first
+    code, _, err = run(capsys, "si", "chain:1200")
+    assert code == 3
+    assert "RecursionError" in err
+
+
+def test_exit_code_memory(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("posetsi.cli.count_extensions", exhausted)
+    code, _, err = run(capsys, "count", "chain:3")
+    assert code == 3
+    assert "MemoryError" in err
+
+
 def test_verify_all_reports_known_defect(capsys):
     code, out, _ = run(capsys, "verify-all", "--threads", "1", "--json")
     assert code == 1  # the q = 2 congruence criterion cannot pass

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetsi import (
     InvalidExtension,
@@ -23,7 +25,7 @@ from posetsi import (
     stanley_criterion,
     zigzag,
 )
-from posetsi.linext import _extension_orders
+from posetsi.linext import _extension_orders, _layers
 from conftest import brute_label_arrays, brute_signed
 
 
@@ -95,6 +97,69 @@ def test_enumeration_cap():
 def test_downset_cap():
     with pytest.raises(ResourceLimit):
         count_extensions(antichain(24), downset_cap=100)
+
+
+def test_downset_cap_counts_every_stored_downset():
+    assert count_extensions(antichain(3), downset_cap=8) == 6  # 8 down-sets
+    with pytest.raises(ResourceLimit):
+        count_extensions(antichain(3), downset_cap=7)
+
+
+def test_downset_cap_message_names_cap_layer_and_flag():
+    # 1 + 24 down-sets in layers 0 and 1, then 276 in layer 2
+    with pytest.raises(ResourceLimit, match=r"cap 100 in layer 2 of 24.*--downset-cap"):
+        count_extensions(antichain(24), downset_cap=100)
+
+
+def test_downset_cap_fires_before_the_layer_is_built():
+    # layer 3 of antichain(100) holds 161700 down-sets; the cap of 10**4
+    # must stop the walk inside it, not after it is stored
+    p = antichain(100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            count_extensions(p, downset_cap=10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_walk_lists_every_downset():
+    for n in range(7):
+        for p in enumerate_posets(n):
+            layers = list(_layers(p))
+            assert len(layers) == n + 1
+            for k, layer in enumerate(layers):
+                assert all(mask.bit_count() == k for mask in layer)
+            brute = [
+                m
+                for m in range(1 << n)
+                if all(not (p.down[x] & ~m) for x in range(n) if m >> x & 1)
+            ]
+            assert sorted(m for layer in layers for m in layer) == brute
+
+
+@st.composite
+def labelled_posets(draw):
+    n = draw(st.integers(0, 7))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=8) if pairs else st.just([]))
+    return n, [(perm[a], perm[b]) for a, b in picked]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(labelled_posets())
+def test_walk_matches_brute_force(poset):
+    n, relations = poset
+    p = from_covers(n, relations)
+    e, si = brute_signed(n, relations)
+    assert count_extensions(p) == e
+    sc = signed_count(p)
+    assert (sc.total, sc.imbalance) == (e, si)
+    for q in (2, 3, 5):
+        assert count_mod(p, q) == e % q
 
 
 def test_count_mod():
