@@ -9,7 +9,6 @@ conflated).
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 from . import domino, h2, linext, ruskey
 from .canon import is_isomorphic
@@ -276,23 +275,21 @@ def criterion_8(threads: int = 1) -> CriterionResult:
     )
 
 
-def _counting_at_least_k(log: list[tuple[int, int]]):
-    def wrapped(p: Poset, k: int) -> bool:
-        if k <= 0:
-            log.append((0, k))
-            return True
-        hits = sum(1 for _ in islice(linext._extension_orders(p), k))
-        log.append((hits, k))
-        return hits >= k
-
-    return wrapped
-
-
 def criterion_9(threads: int = 1) -> CriterionResult:
-    log: list[tuple[int, int]] = []
-    original = h2.at_least_k
-    h2.at_least_k = _counting_at_least_k(log)
+    # Count the extensions that the real at_least_k pulls from the
+    # enumerator, per decision.
+    original = linext._extension_orders
+    pulled = 0
+
+    def counting(p: Poset):
+        nonlocal pulled
+        for order in original(p):
+            pulled += 1
+            yield order
+
+    linext._extension_orders = counting
     bad = 0
+    overshoot = 0
     checked = 0
     try:
         for n in range(9):
@@ -300,11 +297,13 @@ def criterion_9(threads: int = 1) -> CriterionResult:
                 si = signed_count(p).imbalance
                 for k in range(9):
                     checked += 1
+                    pulled = 0
                     if h2.h2sb_decide(p, k) != (si >= k):
                         bad += 1
+                    if pulled > k:
+                        overshoot += 1
     finally:
-        h2.at_least_k = original
-    overshoot = sum(1 for hits, k in log if hits > k)
+        linext._extension_orders = original
     return CriterionResult(
         9,
         "height-2 decider matches brute si >= k for n <= 8, k <= 8, "

@@ -110,17 +110,20 @@ def _cmd_si(args) -> int:
 
 def _cmd_domino(args) -> int:
     p = _load_poset(args.poset)
-    tabs = domino.enumerate_tableaux(p)
+    tabs = sorted(domino._tableaux(p), key=lambda tq: tq[0])
     items = []
+    total = 0
     lines = [f"tableaux: {len(tabs)}"]
-    for i, t in enumerate(tabs):
-        q = domino.quotient(p, t)
+    for i, (t, q) in enumerate(tabs):
+        sgn = sign(p, domino._adapted_labels(t, q))
+        adapted = domino._adapted_count(t, q)
+        total += sgn * adapted
         item = {
             "pairs": [list(pr) for pr in t.pairs],
             "singleton": t.singleton,
-            "sign": domino.tableau_sign(p, t),
+            "sign": sgn,
             "quotient_e": str(count_extensions(q)),
-            "adapted_count": str(domino.adapted_count(p, t)),
+            "adapted_count": str(adapted),
             "quotient": write_poset(q),
         }
         items.append(item)
@@ -130,7 +133,7 @@ def _cmd_domino(args) -> int:
             f"  sign {item['sign']}  quotient e {item['quotient_e']}"
             f"  adapted {item['adapted_count']}"
         )
-    si = domino.si_via_quotients(p)
+    si = abs(total)
     lines.append(f"si (quotient route) = {si}")
     _emit(args, {"tableaux": items, "si": str(si)}, lines)
     return 0

@@ -4,13 +4,18 @@ quotient route to sign imbalance.
 A tableau partitions the elements into cover 2-chains plus at most one
 singleton (only when n is odd, and it must be a maximal element), such
 that the parts admit an ordering whose prefixes are all down-sets -
-equivalently, the induced quotient relation is acyclic.
+equivalently, the induced quotient relation is acyclic. ``quotient`` is
+the one place that decides this: a partition is a tableau exactly when
+``from_covers`` accepts its quotient relation. The quotient route builds
+each cover matching's quotient once and reads both the sign and the
+adapted count of the tableau from it.
 """
 
 from typing import Iterator, NamedTuple
 
-from .errors import MalformedPartition, NotATableau, ResourceLimit
-from .linext import count_extensions, sign, _extension_orders, _validate
+from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
+from .linext import count_extensions, sign
+from .linext import _extension_orders, _labels_of_order, _validate
 from .poset import Poset, from_covers, iter_bits
 
 __all__ = [
@@ -39,13 +44,15 @@ class DominoTableau(NamedTuple):
 def _check_partition(p: Poset, t: DominoTableau) -> None:
     seen = 0
     for bot, top in t.pairs:
-        if not p.cover_up[bot] >> top & 1:
+        if not (0 <= bot < p.n and 0 <= top < p.n and p.cover_up[bot] >> top & 1):
             raise MalformedPartition(f"({bot}, {top}) is not a cover pair")
         pm = (1 << bot) | (1 << top)
         if seen & pm:
             raise MalformedPartition("parts overlap")
         seen |= pm
     if t.singleton is not None:
+        if not 0 <= t.singleton < p.n:
+            raise MalformedPartition(f"singleton {t.singleton} is out of range")
         sm = 1 << t.singleton
         if seen & sm:
             raise MalformedPartition("parts overlap")
@@ -73,48 +80,41 @@ def _parts(t: DominoTableau) -> list[tuple[int, ...]]:
     return parts
 
 
-def _quotient_edges(p: Poset, t: DominoTableau) -> tuple[int, list[tuple[int, int]]]:
+def quotient(p: Poset, t: DominoTableau) -> Poset:
+    """Poset on the parts of t (pairs by bottom element, singleton last).
+
+    Part i lies below part j when some element of i lies below some
+    element of j. Raises MalformedPartition if t is not a partition into
+    cover 2-chains plus at most one singleton, and NotATableau if the
+    singleton is not maximal or the relation has a cycle.
+    """
+    _check_partition(p, t)
+    if t.singleton is not None and p.up[t.singleton]:
+        raise NotATableau(f"singleton {t.singleton} is not maximal")
     parts = _parts(t)
-    part_of = {}
-    for k, part in enumerate(parts):
-        for x in part:
-            part_of[x] = k
-    edges = set()
-    for a, b in p.relations():
-        ka, kb = part_of[a], part_of[b]
-        if ka != kb:
-            edges.add((ka, kb))
-    return len(parts), sorted(edges)
-
-
-def _is_acyclic(k: int, edges: list[tuple[int, int]]) -> bool:
-    adj = [0] * k
-    indeg = [0] * k
-    for a, b in edges:
-        if not adj[a] >> b & 1:
-            adj[a] |= 1 << b
-            indeg[b] += 1
-    queue = [v for v in range(k) if indeg[v] == 0]
-    done = 0
-    while queue:
-        v = queue.pop()
-        done += 1
-        for w in iter_bits(adj[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return done == k
+    masks = [1 << part[0] | 1 << part[-1] for part in parts]
+    ups = [p.up[part[0]] | p.up[part[-1]] for part in parts]
+    edges = [
+        (i, j)
+        for i, up in enumerate(ups)
+        for j, mask in enumerate(masks)
+        if i != j and up & mask
+    ]
+    try:
+        return from_covers(len(masks), edges)
+    except CycleError as exc:
+        raise NotATableau("partition is not a domino tableau") from exc
 
 
 def is_tableau(p: Poset, t: DominoTableau) -> bool:
-    """True iff the partition's quotient relation is acyclic and the
-    singleton, if any, is maximal. Raises MalformedPartition if t is not
-    a partition into cover 2-chains plus at most one singleton."""
-    _check_partition(p, t)
-    if t.singleton is not None and p.up[t.singleton]:
+    """True iff ``quotient`` accepts t: the singleton, if any, is maximal
+    and the quotient relation is acyclic. Raises MalformedPartition if t
+    is not a partition into cover 2-chains plus at most one singleton."""
+    try:
+        quotient(p, t)
+    except NotATableau:
         return False
-    k, edges = _quotient_edges(p, t)
-    return _is_acyclic(k, edges)
+    return True
 
 
 def _cover_matchings(p: Poset, cap: int = MATCHING_CAP) -> Iterator[DominoTableau]:
@@ -153,54 +153,41 @@ def _cover_matchings(p: Poset, cap: int = MATCHING_CAP) -> Iterator[DominoTablea
     yield from rec(full, None)
 
 
+def _tableaux(
+    p: Poset, cap: int = MATCHING_CAP
+) -> Iterator[tuple[DominoTableau, Poset]]:
+    """Each cover matching that is a tableau, with its quotient."""
+    for t in _cover_matchings(p, cap):
+        try:
+            q = quotient(p, t)
+        except NotATableau:
+            continue
+        yield t, q
+
+
 def enumerate_tableaux(p: Poset, cap: int = MATCHING_CAP) -> list[DominoTableau]:
     """All domino tableaux, sorted by their pair lists."""
-    out = [t for t in _cover_matchings(p, cap) if is_tableau(p, t)]
-    out.sort()
-    return out
+    return sorted(t for t, _ in _tableaux(p, cap))
 
 
-def quotient(p: Poset, t: DominoTableau) -> Poset:
-    """Poset on the parts of t (pairs by bottom element, singleton last)."""
-    _check_partition(p, t)
-    k, edges = _quotient_edges(p, t)
-    if (t.singleton is not None and p.up[t.singleton]) or not _is_acyclic(k, edges):
-        raise NotATableau("partition is not a domino tableau")
-    return from_covers(k, edges)
+def _adapted_labels(t: DominoTableau, q: Poset) -> tuple[int, ...]:
+    # The first extension in ascending element order schedules the
+    # singleton part (largest index, maximal) last.
+    parts = _parts(t)
+    order = [x for v in next(_extension_orders(q)) for x in parts[v]]
+    return _labels_of_order(order)
+
+
+def _adapted_count(t: DominoTableau, q: Poset) -> int:
+    if t.singleton is None:
+        return count_extensions(q)
+    return count_extensions(q.subposet(range(q.n - 1)))
 
 
 def adapted_extension(p: Poset, t: DominoTableau) -> tuple[int, ...]:
     """A linear extension assigning labels 2i-1, 2i to the i-th scheduled
     part (singleton last, receiving label n)."""
-    q = quotient(p, t)
-    parts = _parts(t)
-    k = len(parts)
-    single = k - 1 if t.singleton is not None else -1
-    placed = 0
-    order: list[int] = []
-    full = (1 << k) - 1
-    while placed != full:
-        ready = [
-            v
-            for v in range(k)
-            if not placed >> v & 1 and not (q.down[v] & ~placed) and v != single
-        ]
-        if not ready:
-            ready = [single]  # maximal, so always schedulable last
-        order.append(ready[0])
-        placed |= 1 << ready[0]
-    labels = [0] * p.n
-    nxt = 1
-    for v in order:
-        part = parts[v]
-        if len(part) == 1:
-            labels[part[0]] = nxt
-            nxt += 1
-        else:
-            bot, top = part
-            labels[bot], labels[top] = nxt, nxt + 1
-            nxt += 2
-    return tuple(labels)
+    return _adapted_labels(t, quotient(p, t))
 
 
 def tableau_sign(p: Poset, t: DominoTableau) -> int:
@@ -215,17 +202,14 @@ def adapted_count(p: Poset, t: DominoTableau) -> int:
     forced to carry the top label, so it is e of the quotient with the
     singleton part removed.
     """
-    q = quotient(p, t)
-    if t.singleton is None:
-        return count_extensions(q)
-    return count_extensions(q.subposet(range(q.n - 1)))
+    return _adapted_count(t, quotient(p, t))
 
 
 def si_via_quotients(p: Poset, cap: int = MATCHING_CAP) -> int:
     """Sign imbalance as |sum over tableaux of sgn(t) * adapted count|."""
     total = 0
-    for t in enumerate_tableaux(p, cap):
-        total += tableau_sign(p, t) * adapted_count(p, t)
+    for t, q in _tableaux(p, cap):
+        total += sign(p, _adapted_labels(t, q)) * _adapted_count(t, q)
     return abs(total)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .domino import is_tableau, _cover_matchings, quotient
-from .errors import BadGoodSet, HeightExceeded, VerificationError
+from .domino import _cover_matchings, quotient
+from .errors import BadGoodSet, HeightExceeded, NotATableau, VerificationError
 from .generate import enumerate_posets
 from .linext import at_least_k, count_extensions, count_mod
 from .poset import Poset, iter_bits, stats
@@ -116,9 +116,12 @@ def decompose(q: Poset) -> Decomposition:
             return inner
         return Decomposition("lift_plus_isolated", inner.base, inner.rel, v)
     t = _unique_perfect_matching(q)
-    if t is None or not is_tableau(q, t):
+    if t is None:
         return Decomposition("sign_balanced")
-    base = quotient(q, t)
+    try:
+        base = quotient(q, t)
+    except NotATableau:
+        return Decomposition("sign_balanced")
     parts = t.pairs
     rel = {(i, i) for i in range(base.n)}
     for i, (bi, ti) in enumerate(parts):
@@ -150,9 +153,13 @@ def h2sb_decide(q: Poset, k: int) -> bool:
     if q.n == 0:
         return k <= 1  # empty poset has si = 1
     t = _unique_perfect_matching(q)
-    if t is None or not is_tableau(q, t):
+    if t is None:
         return False
-    return at_least_k(quotient(q, t), k)
+    try:
+        base = quotient(q, t)
+    except NotATableau:
+        return False
+    return at_least_k(base, k)
 
 
 def count_f(n_total: int) -> dict:

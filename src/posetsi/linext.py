@@ -238,13 +238,11 @@ def stanley_criterion(p: Poset) -> bool:
     n = p.n
     if n < 2:
         return False
-    parity = n & 1
-    maxima = [v for v in range(n) if not p.up[v]]
-
-    def chains_ok(v: int, length: int) -> bool:
-        lower_covers = [u for u in range(n) if p.cover_up[u] >> v & 1]
-        if not lower_covers:
-            return (length & 1) == parity
-        return all(chains_ok(u, length + 1) for u in lower_covers)
-
-    return all(chains_ok(v, 0) for v in maxima)
+    # Bit j of par[v]: some chain from a minimal element up to v has length
+    # j mod 2. Lower covers come first in order of down-set size.
+    par = [0 if p.down[v] else 1 for v in range(n)]
+    for u in sorted(range(n), key=lambda v: p.down[v].bit_count()):
+        flipped = (par[u] & 1) << 1 | par[u] >> 1
+        for w in iter_bits(p.cover_up[u]):
+            par[w] |= flipped
+    return all(par[v] == 1 << (n & 1) for v in range(n) if not p.up[v])

@@ -35,6 +35,13 @@ def _content_lines(text: str):
         yield lineno, line.split()
 
 
+def _ints(lineno: int, tokens: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in tokens]
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: non-integer element") from exc
+
+
 def read_poset(text: str) -> Poset:
     n = None
     pairs = []
@@ -50,11 +57,7 @@ def read_poset(text: str) -> Poset:
                 raise FormatError(f"line {lineno}: 'e' before 'n'")
             if len(tok) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(tok[1]), int(tok[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer endpoint") from exc
-            pairs.append((u, v))
+            pairs.append(tuple(_ints(lineno, tok[1:])))
         else:
             raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
     if n is None:
@@ -77,10 +80,7 @@ def read_relation_pairs(text: str) -> list[tuple[int, int]]:
     for lineno, tok in _content_lines(text):
         if len(tok) != 2:
             raise FormatError(f"line {lineno}: expected '<u> <v>'")
-        try:
-            pairs.append((int(tok[0]), int(tok[1])))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-integer endpoint") from exc
+        pairs.append(tuple(_ints(lineno, tok)))
     return pairs
 
 
@@ -99,12 +99,13 @@ def read_tableau(p: Poset, text: str) -> DominoTableau:
     pairs = []
     singleton = None
     for lineno, tok in _content_lines(text):
-        if tok[0] == "pair" and len(tok) == 3:
-            pairs.append((int(tok[1]), int(tok[2])))
-        elif tok[0] == "single" and len(tok) == 2:
+        args = _ints(lineno, tok[1:])
+        if tok[0] == "pair" and len(args) == 2:
+            pairs.append(tuple(args))
+        elif tok[0] == "single" and len(args) == 1:
             if singleton is not None:
                 raise FormatError(f"line {lineno}: duplicate singleton")
-            singleton = int(tok[1])
+            singleton = args[0]
         else:
             raise FormatError(f"line {lineno}: expected 'pair b t' or 'single v'")
     return make_tableau(p, pairs, singleton)

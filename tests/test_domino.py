@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import pytest
 
 from posetsi import (
+    CycleError,
     DominoTableau,
     MalformedPartition,
     NotATableau,
@@ -28,6 +31,7 @@ from posetsi import (
     tableau_sign,
     zigzag,
 )
+from posetsi import domino
 
 
 def test_fence_six_has_unique_tableau():
@@ -52,6 +56,94 @@ def test_no_tableau_poset(no_tableau_poset):
     assert enumerate_tableaux(no_tableau_poset) == []
     assert si_via_quotients(no_tableau_poset) == 0
     assert signed_count(no_tableau_poset).imbalance == 0
+
+
+def _partitions(p):
+    """Every partition into cover pairs plus, for odd n, one singleton
+    that need not be maximal."""
+    covers = p.covers()
+
+    def rec(left, pairs, singleton):
+        if not left:
+            yield DominoTableau(tuple(sorted(pairs)), singleton)
+            return
+        u = min(left)
+        for a, b in covers:
+            if u in (a, b) and a in left and b in left:
+                yield from rec(left - {a, b}, pairs + [(a, b)], singleton)
+        if singleton is None and p.n % 2:
+            yield from rec(left - {u}, pairs, u)
+
+    return rec(frozenset(range(p.n)), [], None)
+
+
+def _brute_is_tableau(p, t):
+    """The module docstring's definition: a maximal singleton, and some
+    ordering of the parts whose every prefix is a down-set."""
+    if t.singleton is not None and p.up[t.singleton]:
+        return False
+    parts = list(t.pairs) + ([(t.singleton,)] if t.singleton is not None else [])
+    for order in permutations(parts):
+        placed = set()
+        for part in order:
+            placed |= set(part)
+            if any(p.lt(a, b) and a not in placed for b in placed for a in range(p.n)):
+                break
+        else:
+            return True
+    return False
+
+
+def _reference_quotient(p, t):
+    """Quotient from the parts-mapped strict relations."""
+    parts = list(t.pairs) + ([(t.singleton,)] if t.singleton is not None else [])
+    part_of = {x: k for k, part in enumerate(parts) for x in part}
+    edges = {
+        (part_of[a], part_of[b])
+        for a, b in p.relations()
+        if part_of[a] != part_of[b]
+    }
+    return from_covers(len(parts), edges)
+
+
+def test_is_tableau_and_quotient_match_definition():
+    tried = tableaux = 0
+    for n in range(7):
+        for p in enumerate_posets(n):
+            partitions = list(_partitions(p))
+            assert sorted(domino._cover_matchings(p)) == sorted(
+                t for t in partitions if t.singleton is None or not p.up[t.singleton]
+            )
+            for t in partitions:
+                tried += 1
+                ok = _brute_is_tableau(p, t)
+                assert is_tableau(p, t) == ok
+                if ok:
+                    tableaux += 1
+                    assert quotient(p, t) == _reference_quotient(p, t)
+                else:
+                    with pytest.raises(NotATableau):
+                        quotient(p, t)
+                    if t.singleton is None or not p.up[t.singleton]:
+                        with pytest.raises(CycleError):
+                            _reference_quotient(p, t)
+    assert 0 < tableaux < tried
+
+
+def test_si_via_quotients_builds_each_quotient_once(monkeypatch, eight_cycle):
+    original = domino.quotient
+    calls = 0
+
+    def counting(p, t):
+        nonlocal calls
+        calls += 1
+        return original(p, t)
+
+    monkeypatch.setattr(domino, "quotient", counting)
+    for p in (zigzag(6), eight_cycle, disjoint_union(chain(2), chain(1))):
+        calls = 0
+        si_via_quotients(p)
+        assert calls == sum(1 for _ in domino._cover_matchings(p))
 
 
 def test_matching_that_is_not_a_tableau(no_tableau_poset):

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +20,13 @@ from posetsi import (
     phi,
     ruskey_criterion,
     sign,
+    si_via_quotients,
     signed_count,
     stanley_criterion,
     zigzag,
 )
-from posetsi.linext import _extension_orders, _layers
+from posetsi import linext
+from posetsi.linext import _layers
 from conftest import brute_label_arrays, brute_signed
 
 
@@ -160,6 +161,7 @@ def test_walk_matches_brute_force(poset):
     assert (sc.total, sc.imbalance) == (e, si)
     for q in (2, 3, 5):
         assert count_mod(p, q) == e % q
+    assert si_via_quotients(p) == si
 
 
 def test_count_mod():
@@ -179,13 +181,22 @@ def test_at_least_k_near_chain():
     assert at_least_k(p, 0)
 
 
-def test_at_least_k_enumerates_at_most_k():
+def test_at_least_k_enumerates_at_most_k(monkeypatch):
     p = antichain(6)  # 720 extensions
-    seen = 0
-    for _ in islice(_extension_orders(p), 5):
-        seen += 1
-    assert seen == 5  # islice-style early exit is what at_least_k relies on
-    assert at_least_k(p, 5)
+    original = linext._extension_orders
+    pulled = 0
+
+    def counting(q):
+        nonlocal pulled
+        for order in original(q):
+            pulled += 1
+            yield order
+
+    monkeypatch.setattr(linext, "_extension_orders", counting)
+    for k, want in ((1, True), (5, True), (720, True), (721, False)):
+        pulled = 0
+        assert at_least_k(p, k) == want
+        assert pulled == min(k, 720)
 
 
 def test_sign_identity_and_transposition():
@@ -254,6 +265,40 @@ def test_stanley_criterion_cases():
     assert stanley_criterion(zigzag(3))  # chains of length 1, n odd
     assert not stanley_criterion(chain(2))
     assert not stanley_criterion(zigzag(4))
+
+
+def _brute_stanley(p):
+    """Every maximal chain, walked one cover at a time from each minimal
+    element, has length congruent to n mod 2."""
+    n = p.n
+    covers = [
+        [
+            b
+            for b in range(n)
+            if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in range(n))
+        ]
+        for a in range(n)
+    ]
+
+    def lengths(v):
+        if not covers[v]:
+            return [0]
+        return [1 + k for w in covers[v] for k in lengths(w)]
+
+    minimal = [v for v in range(n) if not any(p.lt(u, v) for u in range(n))]
+    return n >= 2 and all(k % 2 == n % 2 for v in minimal for k in lengths(v))
+
+
+def test_stanley_criterion_matches_chain_walk():
+    for n in range(7):
+        for p in enumerate_posets(n):
+            assert stanley_criterion(p) == _brute_stanley(p)
+
+
+def test_stanley_criterion_square_grids():
+    # graded: every maximal chain has 2m - 2 edges, so only n = m*m matters
+    for m in range(1, 13):
+        assert stanley_criterion(grid(m, m)) == (m % 2 == 0)
 
 
 def test_criteria_imply_balance():

@@ -92,6 +92,16 @@ def test_tableau_rejects_bad_partition():
         read_tableau(p, "pair 1 2\nsingle 0\n")  # non-maximal singleton
 
 
+def test_tableau_rejects_bad_elements():
+    p = zigzag(3)
+    with pytest.raises(FormatError):
+        read_tableau(p, "pair x 1\n")
+    with pytest.raises(MalformedPartition):
+        read_tableau(p, "pair 5 1\n")
+    with pytest.raises(MalformedPartition):
+        read_tableau(p, "pair -1 1\n")
+
+
 def test_parse_family():
     assert parse_family("chain:4") == chain(4)
     assert parse_family("zigzag:6") == zigzag(6)
