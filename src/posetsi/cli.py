@@ -84,7 +84,8 @@ def _cmd_si(args) -> int:
     sc = signed_count(p, downset_cap=args.downset_cap)
     brute = None
     if sc.total <= args.enum_cap:
-        brute = abs(sum(sign(p, lab) for lab in enumerate_extensions(p)))
+        exts = enumerate_extensions(p, cap=args.enum_cap)
+        brute = abs(sum(sign(p, lab) for lab in exts))
     quot = domino.si_via_quotients(p)
     payload = {
         "e": str(sc.total),
@@ -115,14 +116,14 @@ def _cmd_domino(args) -> int:
     total = 0
     lines = [f"tableaux: {len(tabs)}"]
     for i, (t, q) in enumerate(tabs):
-        sgn = sign(p, domino._adapted_labels(t, q))
-        adapted = domino._adapted_count(t, q)
+        sgn, adapted = domino._term(t, q)
         total += sgn * adapted
+        quotient_e = adapted if t.singleton is None else count_extensions(q)
         item = {
             "pairs": [list(pr) for pr in t.pairs],
             "singleton": t.singleton,
             "sign": sgn,
-            "quotient_e": str(count_extensions(q)),
+            "quotient_e": str(quotient_e),
             "adapted_count": str(adapted),
             "quotient": write_poset(q),
         }

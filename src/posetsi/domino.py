@@ -7,15 +7,15 @@ that the parts admit an ordering whose prefixes are all down-sets -
 equivalently, the induced quotient relation is acyclic. ``quotient`` is
 the one place that decides this: a partition is a tableau exactly when
 ``from_covers`` accepts its quotient relation. The quotient route builds
-each cover matching's quotient once and reads both the sign and the
-adapted count of the tableau from it.
+each cover matching's quotient once, and ``_term`` reads both the sign
+and the adapted count of the tableau from it, with no label array.
 """
 
 from typing import Iterator, NamedTuple
 
 from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
-from .linext import count_extensions, sign
-from .linext import _extension_orders, _labels_of_order, _validate
+from .linext import count_extensions
+from .linext import _extension_orders, _labels_of_order, _parity, _validate
 from .poset import Poset, from_covers, iter_bits
 
 __all__ = [
@@ -170,29 +170,32 @@ def enumerate_tableaux(p: Poset, cap: int = MATCHING_CAP) -> list[DominoTableau]
     return sorted(t for t, _ in _tableaux(p, cap))
 
 
-def _adapted_labels(t: DominoTableau, q: Poset) -> tuple[int, ...]:
+def _order(t: DominoTableau, q: Poset) -> list[int]:
     # The first extension in ascending element order schedules the
     # singleton part (largest index, maximal) last.
     parts = _parts(t)
-    order = [x for v in next(_extension_orders(q)) for x in parts[v]]
-    return _labels_of_order(order)
+    return [x for v in next(_extension_orders(q)) for x in parts[v]]
 
 
-def _adapted_count(t: DominoTableau, q: Poset) -> int:
-    if t.singleton is None:
-        return count_extensions(q)
-    return count_extensions(q.subposet(range(q.n - 1)))
+def _term(t: DominoTableau, q: Poset) -> tuple[int, int]:
+    """Sign and adapted count (see ``adapted_count``) of tableau t with
+    quotient q. The scheduled element order is a linear extension by
+    construction, so its parity is the sign, with no labels to validate."""
+    sgn = _parity(_order(t, q))
+    if t.singleton is not None:
+        q = q.subposet(range(q.n - 1))
+    return sgn, count_extensions(q)
 
 
 def adapted_extension(p: Poset, t: DominoTableau) -> tuple[int, ...]:
     """A linear extension assigning labels 2i-1, 2i to the i-th scheduled
     part (singleton last, receiving label n)."""
-    return _adapted_labels(t, quotient(p, t))
+    return _labels_of_order(_order(t, quotient(p, t)))
 
 
 def tableau_sign(p: Poset, t: DominoTableau) -> int:
     """Common sign of all extensions adapted to t."""
-    return sign(p, adapted_extension(p, t))
+    return _term(t, quotient(p, t))[0]
 
 
 def adapted_count(p: Poset, t: DominoTableau) -> int:
@@ -202,15 +205,13 @@ def adapted_count(p: Poset, t: DominoTableau) -> int:
     forced to carry the top label, so it is e of the quotient with the
     singleton part removed.
     """
-    return _adapted_count(t, quotient(p, t))
+    return _term(t, quotient(p, t))[1]
 
 
 def si_via_quotients(p: Poset, cap: int = MATCHING_CAP) -> int:
     """Sign imbalance as |sum over tableaux of sgn(t) * adapted count|."""
-    total = 0
-    for t, q in _tableaux(p, cap):
-        total += sign(p, _adapted_labels(t, q)) * _adapted_count(t, q)
-    return abs(total)
+    terms = (_term(t, q) for t, q in _tableaux(p, cap))
+    return abs(sum(sgn * count for sgn, count in terms))
 
 
 def _blocks_connected(p: Poset, block: list[int]) -> bool:

@@ -2,8 +2,10 @@
 
 E_n counts the linear extensions of the n-element zigzag poset (OEIS
 A000111 shifted to start at E_1 = 1). The table is computed by the
-boustrophedon recurrence with exact integers; a modular variant backs
-the prime sweeps. For odd primes q and n > q the congruence
+boustrophedon recurrence with exact integers. The prime sweep streams
+that exact table once and drops each prime as soon as it divides a term;
+a modular variant backs the congruence check and the prime-avoiding
+search. For odd primes q and n > q the congruence
 E_n = E_q * E_{n-(q-1)} (mod q) reduces divisibility questions to the
 first q values; a guard window up to 3q is checked as well because the
 congruence fails for q = 2 (Euler parities alternate from n = 3 on).
@@ -23,30 +25,29 @@ __all__ = [
 
 
 def _boustrophedon(nmax: int, mod: int | None = None):
-    """E_1..E_nmax via the zigzag triangle; optionally reduced mod q."""
+    """Yield E_1..E_nmax, keeping one row of the zigzag triangle;
+    optionally reduced mod q."""
     row = [1 if mod is None else 1 % mod]
-    out = []
     for _ in range(nmax):
         new = [0]
         for x in reversed(row):
             s = new[-1] + x
             new.append(s if mod is None else s % mod)
         row = new
-        out.append(row[-1])
-    return out
+        yield row[-1]
 
 
 def euler_numbers(nmax: int) -> list[int]:
     """Exact [E_1, ..., E_nmax]; E_1 = E_2 = 1, E_3 = 2, E_6 = 61, ..."""
     if nmax < 1:
         raise ValueError("need at least one term")
-    return _boustrophedon(nmax)
+    return list(_boustrophedon(nmax))
 
 
 def euler_numbers_mod(nmax: int, q: int) -> list[int]:
     if nmax < 1 or q < 2:
         raise ValueError("need nmax >= 1 and modulus >= 2")
-    return _boustrophedon(nmax, q)
+    return list(_boustrophedon(nmax, q))
 
 
 def check_congruence(n: int, q: int) -> bool:
@@ -71,16 +72,15 @@ def primes_never_dividing(bound: int) -> list[int]:
 
     For odd primes, q never dividing E_1..E_q is sufficient via the
     congruence; the window is still extended to 3q as a guard, which is
-    what correctly rejects q = 2 (E_3 = 2).
+    what correctly rejects q = 2 (E_3 = 2). One exact pass over
+    E_1..E_{3 max q} tests every prime still alive against each term.
     """
     if bound > 10**4:
         raise ResourceLimit("documented practical bound is 10^4")
-    out = []
-    for q in _primes_upto(bound):
-        em = euler_numbers_mod(3 * q, q)
-        if 0 not in em:
-            out.append(q)
-    return out
+    alive = _primes_upto(bound)
+    for n, e in enumerate(_boustrophedon(3 * max(alive, default=0)), 1):
+        alive = [q for q in alive if 3 * q < n or e % q]
+    return alive
 
 
 def prime_avoiding_poset(

@@ -10,6 +10,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_form
+from .errors import VerificationError
 from .linext import _layers
 from .poset import Poset
 
@@ -46,6 +47,10 @@ def _classes(n: int, max_height: int | None) -> tuple[Poset, ...]:
             if key not in seen:
                 seen.add(key)
                 out.append(cand)
+    if max_height is None and n < len(CLASS_COUNTS) and len(out) != CLASS_COUNTS[n]:
+        raise VerificationError(
+            f"got {len(out)} classes on {n} elements, expected {CLASS_COUNTS[n]}"
+        )
     return tuple(out)
 
 

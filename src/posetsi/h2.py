@@ -9,7 +9,7 @@ iff (x, y) is in R. Its sign imbalance equals e(P).
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .domino import _cover_matchings, quotient
@@ -85,15 +85,10 @@ def build_lift(p: Poset, rel: GoodSet) -> Poset:
 
 def _unique_perfect_matching(q: Poset):
     """The unique Hasse perfect matching as (bottom, top) pairs, or None
-    if there are zero or several."""
-    found = None
-    for t in _cover_matchings(q):
-        if t.singleton is not None:
-            continue
-        if found is not None:
-            return None
-        found = t
-    return found
+    if there are zero or several. Called on even n only, where no cover
+    matching has a singleton."""
+    first_two = list(islice(_cover_matchings(q), 2))
+    return first_two[0] if len(first_two) == 1 else None
 
 
 def decompose(q: Poset) -> Decomposition:
@@ -104,8 +99,9 @@ def decompose(q: Poset) -> Decomposition:
     set is read off the cross edges. Odd n: strip the unique isolated
     vertex and recurse; any other shape is sign-balanced.
     """
-    if stats(q).height > 2:
-        raise HeightExceeded("decompose requires height at most 2")
+    height = stats(q).height
+    if height > 2:
+        raise HeightExceeded(f"requires height at most 2, got height {height}")
     if q.n % 2 == 1:
         iso = q.isolated_mask
         if iso.bit_count() != 1:
@@ -122,44 +118,29 @@ def decompose(q: Poset) -> Decomposition:
         base = quotient(q, t)
     except NotATableau:
         return Decomposition("sign_balanced")
-    parts = t.pairs
-    rel = {(i, i) for i in range(base.n)}
-    for i, (bi, ti) in enumerate(parts):
-        for j, (bj, tj) in enumerate(parts):
-            if i != j and q.lt(bi, tj):
-                rel.add((i, j))
-    return Decomposition("lift", base, frozenset(rel))
+    # each pair is a cover, so (i, i) is in rel for every part i
+    rel = frozenset(
+        (i, j)
+        for i, (bot, _) in enumerate(t.pairs)
+        for j, (_, top) in enumerate(t.pairs)
+        if q.lt(bot, top)
+    )
+    return Decomposition("lift", base, rel)
 
 
 def h2sb_decide(q: Poset, k: int) -> bool:
     """Decide si(q) >= k for height-<=2 q without full enumeration.
 
-    Either the sign imbalance is zero (no or several Hasse matchings, or
-    a non-tableau matching) or it equals e of the quotient, which is
-    compared against k with an early-exit enumeration.
+    ``decompose`` either certifies sign balance (si = 0) or returns the
+    base B of the lift, whose e(B) is the sign imbalance and is compared
+    against k with an early-exit enumeration.
     """
     if k < 0:
         raise ValueError("threshold must be nonnegative")
-    if stats(q).height > 2:
-        raise HeightExceeded("h2sb requires height at most 2")
-    if k == 0:
-        return True
-    if q.n % 2 == 1:
-        iso = q.isolated_mask
-        if iso.bit_count() != 1:
-            return False
-        v = iso.bit_length() - 1
-        return h2sb_decide(q.subposet([x for x in range(q.n) if x != v]), k)
-    if q.n == 0:
-        return k <= 1  # empty poset has si = 1
-    t = _unique_perfect_matching(q)
-    if t is None:
-        return False
-    try:
-        base = quotient(q, t)
-    except NotATableau:
-        return False
-    return at_least_k(base, k)
+    dec = decompose(q)
+    if dec.kind == "sign_balanced":
+        return k == 0
+    return at_least_k(dec.base, k)
 
 
 def count_f(n_total: int) -> dict:

@@ -57,16 +57,21 @@ def _validate(p: Poset, labels: tuple[int, ...]) -> None:
                 )
 
 
+def _parity(seq) -> int:
+    """Inversion parity of distinct integers as +1 or -1. A label array
+    and its element order are inverse permutations, so they share it."""
+    inv = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1 :]:
+            if x > y:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
 def sign(p: Poset, labels: tuple[int, ...]) -> int:
     """Inversion parity of the label array; +1 for the identity labeling."""
     _validate(p, labels)
-    inv = 0
-    n = p.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if labels[i] > labels[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    return _parity(labels)
 
 
 def _layers(

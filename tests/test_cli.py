@@ -38,6 +38,15 @@ def test_si_skips_brute_over_cap(capsys):
     assert rep["e"] == "24"
 
 
+def test_si_brute_route_uses_enum_cap(capsys, monkeypatch):
+    from posetsi import linext
+
+    monkeypatch.setattr(linext.enumerate_extensions, "__defaults__", (5,))
+    code, out, _ = run(capsys, "si", "antichain:3", "--enum-cap", "6", "--json")
+    assert code == 0
+    assert json.loads(out)["si_brute"] == "0"
+
+
 def test_count_from_stdin(capsys, monkeypatch):
     import io
 
@@ -61,6 +70,34 @@ def test_domino(capsys):
     rep = json.loads(out)
     assert len(rep["tableaux"]) == 1
     assert rep["si"] == "1"
+
+
+def test_domino_counts_each_quotient_once(capsys, monkeypatch):
+    from posetsi import cli, domino, linext
+
+    calls = 0
+
+    def counting(p, downset_cap=linext.DOWNSET_CAP):
+        nonlocal calls
+        calls += 1
+        return linext.count_extensions(p, downset_cap)
+
+    monkeypatch.setattr(cli, "count_extensions", counting)
+    monkeypatch.setattr(domino, "count_extensions", counting)
+    code, out, _ = run(capsys, "domino", "grid:4:6", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert len(rep["tableaux"]) == 281
+    assert calls == 281
+    for item in rep["tableaux"]:
+        assert item["quotient_e"] == item["adapted_count"]
+
+
+def test_height_guard_message(capsys):
+    for argv in (("h2sb", "chain:3", "--k", "1"), ("decompose", "chain:3")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.strip() == "error: requires height at most 2, got height 3"
 
 
 def test_lift_and_decompose_round_trip(capsys, tmp_path):

@@ -19,6 +19,7 @@ from posetsi import (
     enumerate_tableaux,
     exists_q_adapted,
     from_covers,
+    grid,
     is_isomorphic,
     is_q_adapted,
     is_tableau,
@@ -31,7 +32,7 @@ from posetsi import (
     tableau_sign,
     zigzag,
 )
-from posetsi import domino
+from posetsi import domino, linext
 
 
 def test_fence_six_has_unique_tableau():
@@ -144,6 +145,28 @@ def test_si_via_quotients_builds_each_quotient_once(monkeypatch, eight_cycle):
         calls = 0
         si_via_quotients(p)
         assert calls == sum(1 for _ in domino._cover_matchings(p))
+
+
+def test_si_via_quotients_validates_no_labels(monkeypatch):
+    original = linext._validate
+    calls = 0
+
+    def counting(p, labels):
+        nonlocal calls
+        calls += 1
+        return original(p, labels)
+
+    monkeypatch.setattr(linext, "_validate", counting)
+    assert si_via_quotients(grid(3, 4)) == signed_count(grid(3, 4)).imbalance
+    assert calls == 0
+
+
+def test_tableau_sign_matches_validated_sign():
+    # reference: the validating sign of the adapted label array
+    for n in range(8):
+        for p in enumerate_posets(n):
+            for t in enumerate_tableaux(p):
+                assert tableau_sign(p, t) == sign(p, adapted_extension(p, t))
 
 
 def test_matching_that_is_not_a_tableau(no_tableau_poset):

@@ -67,6 +67,20 @@ def test_never_dividing_list():
     assert primes_never_dividing(250) == PAPER_PRIMES_600[:14]
 
 
+def test_never_dividing_tiny_bounds():
+    assert primes_never_dividing(0) == []
+    assert primes_never_dividing(1) == []
+    assert primes_never_dividing(2) == []  # E_3 = 2
+    assert primes_never_dividing(3) == [3]
+
+
+def test_never_dividing_matches_per_prime_tables():
+    # reference: one modular table of length 3q per prime q
+    primes = [q for q in range(2, 201) if all(q % d for d in range(2, q))]
+    want = [q for q in primes if 0 not in euler_numbers_mod(3 * q, q)]
+    assert primes_never_dividing(200) == want
+
+
 def test_known_divisible_primes_excluded():
     out = primes_never_dividing(30)
     assert 2 not in out  # E_3 = 2

@@ -1,4 +1,13 @@
-from posetsi import enumerate_posets, is_isomorphic, poset_class_count, stats
+import pytest
+
+from posetsi import (
+    VerificationError,
+    enumerate_posets,
+    is_isomorphic,
+    poset_class_count,
+    stats,
+)
+from posetsi import generate
 from test_canon import brute_classes
 
 
@@ -51,3 +60,16 @@ def test_empty_size():
     assert poset_class_count(0) == 1
     [empty] = enumerate_posets(0)
     assert empty.n == 0
+
+
+def test_class_counts_table_is_checked(monkeypatch):
+    monkeypatch.setattr(generate, "CLASS_COUNTS", (1, 1, 2, 6))
+    generate._classes.cache_clear()
+    try:
+        assert poset_class_count(2) == 2
+        with pytest.raises(VerificationError, match="3 elements, expected 6"):
+            poset_class_count(3)
+        # height-2 generation is not what the table counts
+        assert poset_class_count(3, max_height=2) == 4
+    finally:
+        generate._classes.cache_clear()

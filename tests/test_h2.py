@@ -149,9 +149,10 @@ def test_decompose_with_isolated_vertex():
 
 
 def test_decompose_height_guard():
-    with pytest.raises(HeightExceeded):
+    message = "requires height at most 2, got height 3"
+    with pytest.raises(HeightExceeded, match=message):
         decompose(chain(3))
-    with pytest.raises(HeightExceeded):
+    with pytest.raises(HeightExceeded, match=message):
         h2sb_decide(chain(3), 1)
 
 
@@ -163,6 +164,12 @@ def test_h2sb_pinned_values(six_vertex_odd, no_tableau_poset):
     assert not h2sb_decide(six_vertex_odd[61], 2)
     assert not h2sb_decide(no_tableau_poset, 1)
     assert h2sb_decide(no_tableau_poset, 0)
+    # a lift plus an isolated vertex: si is e of the base, E_4 = 5
+    padded = disjoint_union(build_lift(zigzag(4), good_base(zigzag(4))), chain(1))
+    assert h2sb_decide(padded, 5)
+    assert not h2sb_decide(padded, 6)
+    # the empty poset has one (empty) extension, so si = 1
+    assert [h2sb_decide(Poset(0, ()), k) for k in range(3)] == [True, True, False]
 
 
 def test_h2sb_large_threshold_via_lift():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 import tracemalloc
 
 import pytest
@@ -203,6 +204,16 @@ def test_sign_identity_and_transposition():
     p = antichain(4)
     assert sign(p, (1, 2, 3, 4)) == 1
     assert sign(p, (2, 1, 3, 4)) == -1
+
+
+def test_parity_of_permutation_equals_parity_of_inverse():
+    for perm in permutations(range(6)):
+        inverse = [0] * 6
+        for i, x in enumerate(perm):
+            inverse[x] = i
+        assert linext._parity(perm) == linext._parity(inverse)
+        labels = tuple(x + 1 for x in perm)
+        assert linext._parity(perm) == sign(antichain(6), labels)
 
 
 def test_sign_validates():
