@@ -28,9 +28,9 @@ from .euler import check_congruence, euler_numbers, primes_never_dividing
 from .linext import (
     DOWNSET_CAP,
     ENUM_CAP,
+    _parity,
     count_extensions,
     enumerate_extensions,
-    sign,
     signed_count,
 )
 from .poset import Poset
@@ -82,10 +82,10 @@ def _cmd_count(args) -> int:
 def _cmd_si(args) -> int:
     p = _load_poset(args.poset)
     sc = signed_count(p, downset_cap=args.downset_cap)
-    brute = None
+    brute = signs = None
     if sc.total <= args.enum_cap:
-        exts = enumerate_extensions(p, cap=args.enum_cap)
-        brute = abs(sum(sign(p, lab) for lab in exts))
+        signs = [_parity(lab) for lab in enumerate_extensions(p, cap=args.enum_cap)]
+        brute = abs(sum(signs))
     quot = domino.si_via_quotients(p)
     payload = {
         "e": str(sc.total),
@@ -102,7 +102,7 @@ def _cmd_si(args) -> int:
         f"si (quotient route) = {quot}",
     ]
     agree = {sc.imbalance, quot} | ({brute} if brute is not None else set())
-    if len(agree) > 1:
+    if len(agree) > 1 or (signs is not None and len(signs) != sc.total):
         _emit(args, payload, lines + ["MISMATCH between routes"])
         return 1
     _emit(args, payload, lines)

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
 from .linext import count_extensions
 from .linext import _extension_orders, _labels_of_order, _parity, _validate
-from .poset import Poset, from_covers, iter_bits
+from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
     "DominoTableau",
@@ -215,23 +215,7 @@ def si_via_quotients(p: Poset, cap: int = MATCHING_CAP) -> int:
 
 
 def _blocks_connected(p: Poset, block: list[int]) -> bool:
-    parent = list(range(len(block)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = len(block)
-    for i, a in enumerate(block):
-        for j in range(i + 1, len(block)):
-            if p.comparable(a, block[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                    comps -= 1
-    return comps <= 1
+    return stats(p.subposet(block)).components <= 1
 
 
 def is_q_adapted(p: Poset, labels: tuple[int, ...], q: int) -> bool:

@@ -11,7 +11,7 @@ bipartite by sign and the part sizes differ by exactly the imbalance.
 from dataclasses import dataclass, field
 
 from .errors import ResourceLimit
-from .linext import enumerate_extensions, sign
+from .linext import _parity, enumerate_extensions
 from .poset import Poset
 
 __all__ = [
@@ -40,33 +40,32 @@ class TranspositionGraph:
 def build_graph(
     p: Poset, adjacent_only: bool = False, cap: int = GRAPH_CAP
 ) -> TranspositionGraph:
-    """Graph on all extensions; edge iff the label arrays differ in
-    exactly two positions (their labels swapped)."""
-    verts = list(enumerate_extensions(p, cap=cap))
-    if len(verts) > cap:
-        raise ResourceLimit(f"vertex count exceeded cap {cap}")
-    signs = tuple(sign(p, v) for v in verts)
-    n = p.n
-    edges = []
-    adjacency: list[list[int]] = [[] for _ in verts]
-    for i in range(len(verts)):
-        vi = verts[i]
-        for j in range(i + 1, len(verts)):
-            vj = verts[j]
-            diff = [k for k in range(n) if vi[k] != vj[k]]
-            if len(diff) != 2:
+    """Graph on all extensions. Each vertex's neighbours come from swapping
+    the labels of each incomparable pair of elements and looking the
+    result up; two label arrays differ in exactly two positions iff one is
+    the other with those labels swapped."""
+    verts = tuple(enumerate_extensions(p, cap=cap))
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = [(a, b) for b in range(p.n) for a in range(b) if not p.comparable(a, b)]
+    adjacency = []
+    for v in verts:
+        row = []
+        for a, b in pairs:
+            if adjacent_only and abs(v[a] - v[b]) != 1:
                 continue
-            if adjacent_only and abs(vi[diff[0]] - vi[diff[1]]) != 1:
-                continue
-            edges.append((i, j))
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+            w = list(v)
+            w[a], w[b] = v[b], v[a]
+            j = index.get(tuple(w))
+            if j is not None:
+                row.append(j)
+        adjacency.append(tuple(sorted(row)))
+    edges = tuple((i, j) for i, row in enumerate(adjacency) for j in row if i < j)
     return TranspositionGraph(
-        tuple(verts),
-        tuple(edges),
-        signs,
+        verts,
+        edges,
+        tuple(_parity(v) for v in verts),
         adjacent_only,
-        tuple(tuple(a) for a in adjacency),
+        tuple(adjacency),
     )
 
 
@@ -94,14 +93,13 @@ def hamiltonian_path(
 ) -> list[int] | None:
     """A Hamiltonian path as vertex indices, or None after an exhaustive
     search. A bipartite part-size gap of 2 or more rules a path out
-    immediately; the backtracking prefers low-degree continuations."""
+    immediately; the backtracking prefers low-degree continuations and
+    keeps one explicit stack frame per path vertex."""
     nv = len(g.vertices)
     if nv > cap:
         raise ResourceLimit(f"vertex count exceeded cap {cap}")
     if nv == 0:
         return []
-    if nv == 1:
-        return [0]
     plus, minus = part_sizes(g)
     if abs(plus - minus) > 1:
         return None
@@ -111,12 +109,12 @@ def hamiltonian_path(
     degree = [len(a) for a in adjacency]
     visited = [False] * nv
     path: list[int] = []
+    # per path vertex: its unvisited neighbours and its untried choices
+    stack = []
 
-    def rec(v: int) -> bool:
+    def enter(v: int) -> None:
         path.append(v)
         visited[v] = True
-        if len(path) == nv:
-            return True
         unvisited = [w for w in adjacency[v] if not visited[w]]
         for w in unvisited:
             degree[w] -= 1
@@ -128,26 +126,22 @@ def hamiltonian_path(
             choices = forced
         else:
             choices = sorted(unvisited, key=degree.__getitem__)
-        for w in choices:
-            if rec(w):
-                return True
-        for w in unvisited:
-            degree[w] += 1
-        visited[v] = False
-        path.pop()
-        return False
+        stack.append((unvisited, iter(choices)))
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * nv + 100))
-    try:
-        starts = sorted(range(nv), key=degree.__getitem__)
-        for s in starts:
-            if rec(s):
+    for s in sorted(range(nv), key=degree.__getitem__):
+        enter(s)
+        while stack:
+            if len(path) == nv:
                 return path
-    finally:
-        sys.setrecursionlimit(old_limit)
+            unvisited, choices = stack[-1]
+            w = next(choices, None)
+            if w is None:
+                stack.pop()
+                for u in unvisited:
+                    degree[u] += 1
+                visited[path.pop()] = False
+            else:
+                enter(w)
     return None
 
 

@@ -47,6 +47,41 @@ def test_si_brute_route_uses_enum_cap(capsys, monkeypatch):
     assert json.loads(out)["si_brute"] == "0"
 
 
+def test_si_brute_route_does_not_revalidate(capsys, monkeypatch):
+    from posetsi import linext
+
+    calls = 0
+    real = linext._validate
+
+    def counting(p, labels):
+        nonlocal calls
+        calls += 1
+        real(p, labels)
+
+    monkeypatch.setattr(linext, "_validate", counting)
+    code, out, _ = run(capsys, "si", "grid:3:3", "--json")
+    assert code == 0
+    assert json.loads(out)["si_brute"] == "0"
+    assert calls == 0
+
+
+def test_si_compares_brute_count(capsys, monkeypatch):
+    from posetsi import cli, linext
+
+    def two_short(p, cap=linext.ENUM_CAP):
+        exts = list(linext.enumerate_extensions(p, cap))
+        plus = next(x for x in exts if linext._parity(x) > 0)
+        minus = next(x for x in exts if linext._parity(x) < 0)
+        return iter([x for x in exts if x not in (plus, minus)])
+
+    monkeypatch.setattr(cli, "enumerate_extensions", two_short)
+    code, out, _ = run(capsys, "si", "zigzag:6", "--json")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["e"] == "61"
+    assert rep["si"] == rep["si_brute"] == rep["si_quotient"] == "1"
+
+
 def test_count_from_stdin(capsys, monkeypatch):
     import io
 

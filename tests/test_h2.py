@@ -6,6 +6,7 @@ from posetsi import (
     BadGoodSet,
     HeightExceeded,
     Poset,
+    VerificationError,
     antichain,
     build_lift,
     canonical_form,
@@ -221,6 +222,37 @@ def test_odd_e_bounds_small():
     rep = odd_e_bounds(3)
     assert rep["lower"] == 36 and rep["upper"] == 90
     assert rep["odd_e_values"] == [57, 61, 75]
+
+
+def test_odd_e_bounds_walks_matchings_once_per_class(monkeypatch):
+    from posetsi import h2
+
+    calls = 0
+    real = h2._cover_matchings
+
+    def counting(q):
+        nonlocal calls
+        calls += 1
+        return real(q)
+
+    monkeypatch.setattr(h2, "_cover_matchings", counting)
+    rep = odd_e_bounds(4)
+    assert rep["classes_with_odd_e"] == 13
+    assert calls == 13
+
+
+def test_odd_e_bounds_checks_the_returned_lift(monkeypatch):
+    from posetsi import h2
+
+    real = h2.decompose
+
+    def minimal_rel(q):
+        dec = real(q)
+        return h2.Decomposition(dec.kind, dec.base, good_base(dec.base))
+
+    monkeypatch.setattr(h2, "decompose", minimal_rel)
+    with pytest.raises(VerificationError):
+        odd_e_bounds(3)
 
 
 def test_spectrum_small(six_vertex_odd):

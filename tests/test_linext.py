@@ -74,10 +74,13 @@ def test_enumerate_extensions_basics():
 
 
 def test_enumerate_is_sorted_and_complete():
-    for p in (zigzag(4), grid(2, 2), disjoint_union(chain(2), chain(2))):
+    posets = [zigzag(4), grid(2, 2), disjoint_union(chain(2), chain(2))]
+    posets += [p for n in range(7) for p in enumerate_posets(n)]
+    for p in posets:
         got = list(enumerate_extensions(p))
         assert got == sorted(got)
         assert set(got) == set(brute_label_arrays(p.n, list(p.relations())))
+        assert len(got) == len(set(got))
 
 
 def test_fence_six_sign_split():

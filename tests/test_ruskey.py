@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from posetsi import (
@@ -5,14 +7,43 @@ from posetsi import (
     antichain,
     build_graph,
     chain,
+    enumerate_extensions,
     enumerate_posets,
+    grid,
     hamiltonian_path,
     is_connected,
     ruskey_report,
+    sign,
     signed_count,
     zigzag,
 )
+from posetsi import linext
 from posetsi.ruskey import part_sizes
+
+
+def pairwise_graph(p, adjacent_only):
+    """Reference construction: compare every pair of extensions."""
+    verts = list(enumerate_extensions(p))
+    edges = []
+    adjacency = [[] for _ in verts]
+    for i, vi in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            diff = [k for k in range(p.n) if vi[k] != verts[j][k]]
+            if len(diff) != 2:
+                continue
+            if adjacent_only and abs(vi[diff[0]] - vi[diff[1]]) != 1:
+                continue
+            edges.append((i, j))
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    signs = tuple(sign(p, v) for v in verts)
+    return tuple(verts), tuple(edges), signs, tuple(map(tuple, adjacency))
+
+
+def assert_path(g, path):
+    assert sorted(path) == list(range(len(g.vertices)))
+    for a, b in zip(path, path[1:]):
+        assert b in g.adjacency[a]
 
 
 def test_two_points():
@@ -87,6 +118,48 @@ def test_found_paths_are_valid():
         adjacency = {frozenset(e) for e in g.edges}
         for a, b in zip(path, path[1:]):
             assert frozenset((a, b)) in adjacency
+    for adjacent in (False, True):
+        for n in range(6):
+            for p in enumerate_posets(n):
+                g = build_graph(p, adjacent_only=adjacent)
+                path = hamiltonian_path(g)
+                if path is not None:
+                    assert_path(g, path)
+
+
+def test_graph_matches_pairwise_construction():
+    for adjacent in (False, True):
+        for n in range(7):
+            for p in enumerate_posets(n):
+                g = build_graph(p, adjacent_only=adjacent)
+                got = (g.vertices, g.edges, g.signs, g.adjacency)
+                assert got == pairwise_graph(p, adjacent)
+
+
+def test_long_path_needs_no_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("recursion limit changed")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = build_graph(zigzag(9))
+    path = hamiltonian_path(g, cap=10**4)
+    assert len(path) == len(g.vertices) == 7936
+    assert_path(g, path)
+
+
+def test_graph_does_not_revalidate_extensions(monkeypatch):
+    calls = 0
+    real = linext._validate
+
+    def counting(p, labels):
+        nonlocal calls
+        calls += 1
+        real(p, labels)
+
+    monkeypatch.setattr(linext, "_validate", counting)
+    g = build_graph(grid(3, 3))
+    assert len(g.vertices) == 42
+    assert calls == 0
 
 
 def test_graph_cap():
