@@ -67,16 +67,6 @@ def fixtures() -> dict[str, Poset]:
     }
 
 
-def _brute_si(p: Poset) -> tuple[int, int]:
-    """(count, |signed sum|) straight from the enumerated extensions."""
-    total = 0
-    acc = 0
-    for lab in enumerate_extensions(p):
-        total += 1
-        acc += sign(p, lab)
-    return total, abs(acc)
-
-
 def _pmap(fn, items, threads: int):
     if threads <= 1:
         return [fn(x) for x in items]
@@ -119,11 +109,11 @@ def criterion_2(threads: int = 1) -> CriterionResult:
 
 
 def _c3_worker(p: Poset) -> bool:
-    total, brute = _brute_si(p)
+    total, signed = linext._enumerated_signed(p)
     sc = signed_count(p)
     return (
-        total == sc.total
-        and brute == sc.imbalance == domino.si_via_quotients(p)
+        (total, signed) == (sc.total, sc.signed)
+        and sc.imbalance == domino.si_via_quotients(p)
     )
 
 
@@ -141,21 +131,17 @@ def criterion_3(threads: int = 1) -> CriterionResult:
 
 
 def _c4_worker(p: Poset) -> bool:
-    fixed = []
+    tabs = domino.enumerate_tableaux(p)
     for lab in enumerate_extensions(p):
         image = phi(p, lab)
         if phi(p, image) != lab:
             return False
-        if image == lab:
-            fixed.append(lab)
-        elif sign(p, image) != -sign(p, lab):
+        fixed = image == lab
+        if fixed != any(_is_adapted_to(p, lab, t) for t in tabs):
             return False
-    adapted = set()
-    for t in domino.enumerate_tableaux(p):
-        for lab in enumerate_extensions(p):
-            if _is_adapted_to(p, lab, t):
-                adapted.add(lab)
-    return set(fixed) == adapted
+        if not fixed and sign(p, image) != -sign(p, lab):
+            return False
+    return True
 
 
 def _is_adapted_to(p: Poset, labels, t) -> bool:

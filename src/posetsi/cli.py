@@ -13,24 +13,13 @@ import os
 import sys
 
 from . import acceptance, domino, h2, ruskey
-from .errors import (
-    BadGoodSet,
-    CycleError,
-    FormatError,
-    HeightExceeded,
-    InvalidExtension,
-    MalformedPartition,
-    NotATableau,
-    ResourceLimit,
-    VerificationError,
-)
+from .errors import PosetsiError, ResourceLimit, VerificationError
 from .euler import check_congruence, euler_numbers, primes_never_dividing
 from .linext import (
     DOWNSET_CAP,
     ENUM_CAP,
-    _parity,
+    _enumerated_signed,
     count_extensions,
-    enumerate_extensions,
     signed_count,
 )
 from .poset import Poset
@@ -40,18 +29,6 @@ from .textio import (
     read_relation_pairs,
     write_poset,
     write_tableau,
-)
-
-_INPUT_ERRORS = (
-    FormatError,
-    CycleError,
-    InvalidExtension,
-    MalformedPartition,
-    NotATableau,
-    BadGoodSet,
-    HeightExceeded,
-    ValueError,
-    OSError,
 )
 
 
@@ -82,10 +59,10 @@ def _cmd_count(args) -> int:
 def _cmd_si(args) -> int:
     p = _load_poset(args.poset)
     sc = signed_count(p, downset_cap=args.downset_cap)
-    brute = signs = None
+    brute = None
     if sc.total <= args.enum_cap:
-        signs = [_parity(lab) for lab in enumerate_extensions(p, cap=args.enum_cap)]
-        brute = abs(sum(signs))
+        count, signed = _enumerated_signed(p, cap=args.enum_cap)
+        brute = abs(signed)
     quot = domino.si_via_quotients(p)
     payload = {
         "e": str(sc.total),
@@ -102,7 +79,7 @@ def _cmd_si(args) -> int:
         f"si (quotient route) = {quot}",
     ]
     agree = {sc.imbalance, quot} | ({brute} if brute is not None else set())
-    if len(agree) > 1 or (signs is not None and len(signs) != sc.total):
+    if len(agree) > 1 or (brute is not None and count != sc.total):
         _emit(args, payload, lines + ["MISMATCH between routes"])
         return 1
     _emit(args, payload, lines)
@@ -232,25 +209,18 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ruskey(args) -> int:
     p = _load_poset(args.poset)
-    rep = ruskey.ruskey_report(
-        p,
-        adjacent_only=args.adjacent,
-        search_path=args.hampath,
-        graph_cap=args.graph_cap,
-        path_cap=args.path_cap,
-    )
+    g = ruskey.build_graph(p, args.adjacent, args.graph_cap)
+    rep = ruskey._graph_report(p, g, args.hampath, args.path_cap)
     lines = [f"{k}: {v}" for k, v in rep.items() if k != "path"]
     if "path" in rep:
         lines.append("path: " + " ".join(map(str, rep["path"])))
     if args.dump_graph:
-        g = ruskey.build_graph(p, args.adjacent, args.graph_cap)
         lines.append("vertices:")
         for i, v in enumerate(g.vertices):
             lines.append(f"  {i} " + " ".join(map(str, v)))
         lines.append("edges:")
         for a, b in g.edges:
             lines.append(f"  {a} {b}")
-        rep = dict(rep)
         rep["vertices"] = [list(v) for v in g.vertices]
         rep["edges"] = [list(e) for e in g.edges]
     _emit(args, rep, lines)
@@ -430,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MemoryError, RecursionError) as exc:
         print(f"out of resources: {type(exc).__name__} {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
+    except (PosetsiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

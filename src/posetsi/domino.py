@@ -214,8 +214,13 @@ def si_via_quotients(p: Poset, cap: int = MATCHING_CAP) -> int:
     return abs(sum(sgn * count for sgn, count in terms))
 
 
-def _blocks_connected(p: Poset, block: list[int]) -> bool:
-    return stats(p.subposet(block)).components <= 1
+def _blocks_connected(p: Poset, order, q: int) -> bool:
+    """Each block of q consecutive places of an element order induces a
+    connected subposet (up to q-1 places at the end are ignored)."""
+    return all(
+        stats(p.subposet(order[i : i + q])).components <= 1
+        for i in range(0, p.n - q + 1, q)
+    )
 
 
 def is_q_adapted(p: Poset, labels: tuple[int, ...], q: int) -> bool:
@@ -224,25 +229,11 @@ def is_q_adapted(p: Poset, labels: tuple[int, ...], q: int) -> bool:
     if q < 2:
         raise ValueError("block size must be at least 2")
     _validate(p, labels)
-    elem_of = [0] * (p.n + 1)
-    for x, lab in enumerate(labels):
-        elem_of[lab] = x
-    for start in range(1, p.n - q + 2, q):
-        block = [elem_of[lab] for lab in range(start, start + q)]
-        if not _blocks_connected(p, block):
-            return False
-    return True
+    return _blocks_connected(p, sorted(range(p.n), key=labels.__getitem__), q)
 
 
 def exists_q_adapted(p: Poset, q: int) -> bool:
     """Search all extensions for a q-adapted one, exiting early on a hit."""
     if q < 2:
         raise ValueError("block size must be at least 2")
-    nblocks = p.n // q
-    for order in _extension_orders(p):
-        if all(
-            _blocks_connected(p, list(order[i * q : (i + 1) * q]))
-            for i in range(nblocks)
-        ):
-            return True
-    return False
+    return any(_blocks_connected(p, order, q) for order in _extension_orders(p))

@@ -3,7 +3,8 @@
 Every n-element poset arises from an (n-1)-element poset by attaching a
 new maximal element over a lower order ideal, so the class lists are grown
 level by level and deduplicated through canonical forms. Results are
-cached per (size, height bound) for reuse across sweeps.
+cached per size, for all classes and for those of height at most 2, for
+reuse across sweeps.
 """
 
 from functools import lru_cache
@@ -12,7 +13,7 @@ from typing import Callable, Iterable, Iterator
 from .canon import canonical_form
 from .errors import VerificationError
 from .linext import _layers
-from .poset import Poset
+from .poset import Poset, stats
 
 __all__ = ["enumerate_posets", "poset_class_count"]
 
@@ -30,13 +31,15 @@ def _submasks(mask: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, max_height: int | None) -> tuple[Poset, ...]:
+def _classes(n: int, height2: bool) -> tuple[Poset, ...]:
+    """All classes on n elements, or with ``height2`` those of height at
+    most 2."""
     if n == 0:
         return (Poset(0, ()),)
     out: list[Poset] = []
     seen: set[bytes] = set()
-    for rep in _classes(n - 1, max_height):
-        if max_height == 2:
+    for rep in _classes(n - 1, height2):
+        if height2:
             # new maximal element over minimal elements only keeps height <= 2
             choices: Iterable[int] = _submasks(rep.minimal_mask)
         else:
@@ -47,7 +50,7 @@ def _classes(n: int, max_height: int | None) -> tuple[Poset, ...]:
             if key not in seen:
                 seen.add(key)
                 out.append(cand)
-    if max_height is None and n < len(CLASS_COUNTS) and len(out) != CLASS_COUNTS[n]:
+    if not height2 and n < len(CLASS_COUNTS) and len(out) != CLASS_COUNTS[n]:
         raise VerificationError(
             f"got {len(out)} classes on {n} elements, expected {CLASS_COUNTS[n]}"
         )
@@ -61,21 +64,18 @@ def enumerate_posets(
 ) -> Iterator[Poset]:
     """One representative per isomorphism class of posets on n elements.
 
-    ``max_height`` restricts generation (only 2 prunes; other bounds are
-    post-filters). ``predicate`` filters the stream. Practical bound is
-    n <= 8 for the full lattice of classes.
+    ``max_height`` keeps the classes of at most that height: a bound of 2
+    or less prunes generation to height 2, and any bound other than 2 is
+    also a post-filter. ``predicate`` filters the stream. Practical bound
+    is n <= 8 for the full lattice of classes.
     """
-    if max_height is not None and max_height != 2:
-        from .poset import stats
-
-        base = _classes(n, None)
-        reps: Iterator[Poset] = (p for p in base if stats(p).height <= max_height)
-    else:
-        reps = iter(_classes(n, max_height))
-    for p in reps:
-        if predicate is None or predicate(p):
-            yield p
+    height2 = max_height is not None and max_height <= 2
+    for p in _classes(n, height2):
+        if max_height in (None, 2) or stats(p).height <= max_height:
+            if predicate is None or predicate(p):
+                yield p
 
 
 def poset_class_count(n: int, max_height: int | None = None) -> int:
-    return len(_classes(n, max_height))
+    """Number of classes that ``enumerate_posets(n, max_height)`` yields."""
+    return sum(1 for _ in enumerate_posets(n, max_height))

@@ -12,7 +12,10 @@ poset generation attaches new elements over. It stores one popcount
 layer at a time and raises :class:`ResourceLimit` the moment the number
 of stored down-sets would pass the cap, before the rest of the layer is
 built. Enumeration (``_extension_orders``) is a separate depth-first
-walk, so that it can stop after the first k extensions.
+walk, so that it can stop after the first k extensions. It is also the
+independent brute route: ``_enumerated_signed`` streams it to count and
+sign every extension, and the CLI and the acceptance suite check the
+walk's answers against it.
 """
 
 from typing import Iterator, NamedTuple
@@ -171,6 +174,20 @@ def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:
             seq.pop()
 
     return rec(0)
+
+
+def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:
+    """(count, signed sum) over the enumerated extensions, raising
+    ResourceLimit past ``cap``. Each element order is signed as it
+    streams by; its label array is the inverse permutation, with the same
+    parity, so no labels are built, sorted or validated."""
+    count = signed = 0
+    for order in _extension_orders(p):
+        count += 1
+        if count > cap:
+            raise ResourceLimit(f"extension count exceeded cap {cap}")
+        signed += _parity(order)
+    return count, signed
 
 
 def _labels_of_order(order: tuple[int, ...]) -> tuple[int, ...]:

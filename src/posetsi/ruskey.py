@@ -159,13 +159,20 @@ def ruskey_report(
     almost certainly indicates a bug, so callers should treat it loudly.
     """
     g = build_graph(p, adjacent_only, graph_cap)
+    return _graph_report(p, g, search_path, path_cap)
+
+
+def _graph_report(
+    p: Poset, g: TranspositionGraph, search_path: bool, path_cap: int
+) -> dict:
+    """``ruskey_report`` on the already built transposition graph g of p."""
     plus, minus = part_sizes(g)
     si = abs(plus - minus)
     report = {
         "n": p.n,
         "extensions": len(g.vertices),
         "si": si,
-        "mode": "adjacent" if adjacent_only else "any-transposition",
+        "mode": "adjacent" if g.adjacent_only else "any-transposition",
         "connected": is_connected(g),
         "bipartite_by_sign": all(g.signs[a] != g.signs[b] for a, b in g.edges),
     }

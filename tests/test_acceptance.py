@@ -9,8 +9,9 @@ rather than weakened away.
 
 import pytest
 
-from posetsi import acceptance
+from posetsi import acceptance, domino, linext
 from posetsi.euler import check_congruence
+from posetsi.generate import enumerate_posets
 
 NUMBERED = {
     1: acceptance.criterion_1,
@@ -51,3 +52,33 @@ def test_criterion_13_table_primes_and_odd_moduli():
 )
 def test_criterion_13_congruence_modulus_two():
     assert all(check_congruence(n, 2) for n in range(3, 31))
+
+
+def test_criterion_3_neither_validates_nor_enumerates_labels(monkeypatch):
+    # the brute route reads its count and signed sum from the streamed
+    # element orders alone; the classes with n <= 5 keep the test short
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+
+    for mod in (linext, domino, acceptance):
+        for name in ("_validate", "enumerate_extensions"):
+            monkeypatch.setattr(mod, name, counting, raising=False)
+    monkeypatch.setattr(
+        acceptance,
+        "enumerate_posets",
+        lambda n: enumerate_posets(n) if n <= 5 else iter(()),
+    )
+    result = acceptance.criterion_3()
+    assert result.details == ["88 classes checked, 0 mismatches"]
+    assert calls == 0
+
+
+def test_criterion_12_process_pool_matches_in_process():
+    # verify-all's default runs the criteria in a process pool, which
+    # pickles every Poset it sends to a worker
+    pooled = acceptance.criterion_12(threads=2)
+    assert pooled == acceptance.criterion_12(threads=1)
+    assert pooled.ok, pooled.details

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from posetsi.cli import main
+from posetsi.errors import PosetsiError, ResourceLimit, VerificationError
+from posetsi.textio import parse_family
 
 
 def run(capsys, *argv):
@@ -41,24 +43,24 @@ def test_si_skips_brute_over_cap(capsys):
 def test_si_brute_route_uses_enum_cap(capsys, monkeypatch):
     from posetsi import linext
 
-    monkeypatch.setattr(linext.enumerate_extensions, "__defaults__", (5,))
+    monkeypatch.setattr(linext._enumerated_signed, "__defaults__", (5,))
     code, out, _ = run(capsys, "si", "antichain:3", "--enum-cap", "6", "--json")
     assert code == 0
     assert json.loads(out)["si_brute"] == "0"
 
 
 def test_si_brute_route_does_not_revalidate(capsys, monkeypatch):
-    from posetsi import linext
+    from posetsi import cli, linext
 
     calls = 0
-    real = linext._validate
 
-    def counting(p, labels):
+    def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        real(p, labels)
 
     monkeypatch.setattr(linext, "_validate", counting)
+    for mod in (linext, cli):
+        monkeypatch.setattr(mod, "enumerate_extensions", counting, raising=False)
     code, out, _ = run(capsys, "si", "grid:3:3", "--json")
     assert code == 0
     assert json.loads(out)["si_brute"] == "0"
@@ -66,15 +68,17 @@ def test_si_brute_route_does_not_revalidate(capsys, monkeypatch):
 
 
 def test_si_compares_brute_count(capsys, monkeypatch):
-    from posetsi import cli, linext
+    from posetsi import linext
 
-    def two_short(p, cap=linext.ENUM_CAP):
-        exts = list(linext.enumerate_extensions(p, cap))
-        plus = next(x for x in exts if linext._parity(x) > 0)
-        minus = next(x for x in exts if linext._parity(x) < 0)
-        return iter([x for x in exts if x not in (plus, minus)])
+    real = linext._extension_orders
 
-    monkeypatch.setattr(cli, "enumerate_extensions", two_short)
+    def two_short(p):
+        orders = list(real(p))
+        plus = next(x for x in orders if linext._parity(x) > 0)
+        minus = next(x for x in orders if linext._parity(x) < 0)
+        return iter([x for x in orders if x not in (plus, minus)])
+
+    monkeypatch.setattr(linext, "_extension_orders", two_short)
     code, out, _ = run(capsys, "si", "zigzag:6", "--json")
     assert code == 1
     rep = json.loads(out)
@@ -205,6 +209,38 @@ def test_ruskey_dump_graph(capsys):
     assert "vertices:" in out and "edges:" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ruskey", "grid:3:3", "--dump-graph", "--json"),
+        ("ruskey", "zigzag:5", "--adjacent", "--dump-graph", "--hampath"),
+    ],
+)
+def test_ruskey_dump_graph_builds_once(capsys, monkeypatch, argv):
+    from posetsi import ruskey
+
+    calls = 0
+    real = ruskey.build_graph
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ruskey, "build_graph", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == 1
+    g = real(parse_family(argv[1]), adjacent_only="--adjacent" in argv)
+    if "--json" in argv:
+        rep = json.loads(out)
+        assert rep["vertices"] == [list(v) for v in g.vertices]
+        assert rep["edges"] == [list(e) for e in g.edges]
+    else:
+        # 9 report lines (path included), then the two dump headers
+        assert out.count("\n") == 9 + 2 + len(g.vertices) + len(g.edges)
+
+
 def test_euler_table(capsys):
     code, out, _ = run(capsys, "euler", "--max-n", "6")
     assert code == 0
@@ -268,6 +304,26 @@ def test_exit_code_recursion(capsys):
     code, _, err = run(capsys, "si", "chain:1200")
     assert code == 3
     assert "RecursionError" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    sorted([PosetsiError, *PosetsiError.__subclasses__()], key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_exit_code_of_each_error(capsys, monkeypatch, error):
+    from posetsi import cli
+
+    def failing(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_count", failing)
+    code, out, err = run(capsys, "count", "chain:3")
+    # the module docstring: 1 verification failure, 2 malformed input,
+    # 3 resource cap exceeded
+    assert code == {VerificationError: 1, ResourceLimit: 3}.get(error, 2)
+    assert out == ""
+    assert "boom" in err
 
 
 def test_exit_code_memory(capsys, monkeypatch):

@@ -73,3 +73,23 @@ def test_class_counts_table_is_checked(monkeypatch):
         assert poset_class_count(3, max_height=2) == 4
     finally:
         generate._classes.cache_clear()
+
+
+def test_class_count_honours_every_height_bound():
+    for n in range(7):
+        heights = [stats(p).height for p in enumerate_posets(n)]
+        for h in range(1, 5):
+            want = sum(1 for x in heights if x <= h)
+            assert poset_class_count(n, max_height=h) == want
+    assert poset_class_count(4, max_height=1) == 1
+    assert poset_class_count(4, max_height=3) == 15
+
+
+def test_height_bounds_share_two_cached_levels():
+    generate._classes.cache_clear()
+    try:
+        for h in (None, 1, 2, 3, 4):
+            poset_class_count(5, max_height=h)
+        assert generate._classes.cache_info().currsize == 2 * 6
+    finally:
+        generate._classes.cache_clear()

@@ -97,6 +97,9 @@ def test_fence_six_sign_split():
 def test_enumeration_cap():
     with pytest.raises(ResourceLimit):
         list(enumerate_extensions(antichain(6), cap=10))
+    assert linext._enumerated_signed(antichain(3), cap=6) == (6, 0)
+    with pytest.raises(ResourceLimit, match="extension count exceeded cap 5"):
+        linext._enumerated_signed(antichain(3), cap=5)
 
 
 def test_downset_cap():
@@ -163,6 +166,7 @@ def test_walk_matches_brute_force(poset):
     assert count_extensions(p) == e
     sc = signed_count(p)
     assert (sc.total, sc.imbalance) == (e, si)
+    assert linext._enumerated_signed(p) == (e, sc.signed)
     for q in (2, 3, 5):
         assert count_mod(p, q) == e % q
     assert si_via_quotients(p) == si
