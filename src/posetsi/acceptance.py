@@ -2,11 +2,13 @@
 
 Each criterion is a function returning a :class:`CriterionResult`; the CLI
 ``verify-all`` subcommand runs them in order and exits nonzero if any
-fails. Worked-example posets are constructed here exactly as drawn in
-their figures (two of them differ by a single edge and must not be
-conflated).
+fails. Criteria 3, 4, 11 and 12 check every class up to a size; they
+spread the classes over a process pool when this process may run on more
+than one CPU, and check them in-process otherwise, with the same result.
+Criterion 2 builds its eight-cycle exactly as drawn in its figure.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,7 +27,7 @@ from .linext import (
 )
 from .poset import Poset, from_covers, grid, zigzag
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA", "fixtures"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 
 @dataclass
@@ -43,38 +45,20 @@ class CriterionResult:
         return "FAIL (known spec defect)" if self.known_defect else "FAIL"
 
 
-def fixtures() -> dict[str, Poset]:
-    """Worked-example posets, keyed by what they demonstrate."""
-    return {
-        # fence on six elements: e = 61, si = 1
-        "zigzag6": zigzag(6),
-        # four-cover variant used in the label-swap figures; NOT the fence:
-        # quotient of its unique tableau is a 2-chain plus an isolated part
-        "swap_figure": from_covers(6, [(0, 1), (2, 1), (2, 3), (4, 5)]),
-        # two bottoms under two shared tops plus one extra pair: Hasse has
-        # a perfect matching but no domino tableau
-        "no_tableau": from_covers(6, [(0, 3), (1, 3), (0, 4), (1, 4), (2, 5)]),
-        # Hasse diagram is an eight-cycle with exactly two matchings
-        "eight_cycle": from_covers(
-            8, [(1, 0), (7, 0), (2, 1), (3, 2), (3, 4), (4, 5), (6, 5), (6, 7)]
-        ),
-        # the three height-2 posets on six vertices with odd e
-        "six_odd_75": from_covers(6, [(0, 3), (0, 4), (1, 4), (2, 5)]),
-        "six_odd_61": from_covers(6, [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5)]),
-        "six_odd_57": from_covers(
-            6, [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (0, 5)]
-        ),
-    }
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
+def _pmap(fn, items):
+    """[fn(x) for x in items], in a process pool when this process may
+    run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=cpus) as pool:
         return list(pool.map(fn, items, chunksize=64))
 
 
-def criterion_1(threads: int = 1) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     sc = signed_count(zigzag(6))
     ok = sc.total == 61 and sc.imbalance == 1
     return CriterionResult(
@@ -85,8 +69,11 @@ def criterion_1(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_2(threads: int = 1) -> CriterionResult:
-    p = fixtures()["eight_cycle"]
+def criterion_2() -> CriterionResult:
+    # Hasse diagram is an eight-cycle with exactly two matchings
+    p = from_covers(
+        8, [(1, 0), (7, 0), (2, 1), (3, 2), (3, 4), (4, 5), (6, 5), (6, 7)]
+    )
     tabs = domino.enumerate_tableaux(p)
     details = [f"tableaux found: {len(tabs)} (want 2)"]
     ok = len(tabs) == 2
@@ -117,9 +104,9 @@ def _c3_worker(p: Poset) -> bool:
     )
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     classes = [p for n in range(8) for p in enumerate_posets(n)]
-    oks = _pmap(_c3_worker, classes, threads)
+    oks = _pmap(_c3_worker, classes)
     bad = oks.count(False)
     return CriterionResult(
         3,
@@ -153,9 +140,9 @@ def _is_adapted_to(p: Poset, labels, t) -> bool:
     return True
 
 
-def criterion_4(threads: int = 1) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     classes = [p for n in range(7) for p in enumerate_posets(n)]
-    oks = _pmap(_c4_worker, classes, threads)
+    oks = _pmap(_c4_worker, classes)
     bad = oks.count(False)
     return CriterionResult(
         4,
@@ -166,7 +153,7 @@ def criterion_4(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_5(threads: int = 1) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     checked = 0
     bad = 0
     for n in range(5):
@@ -193,7 +180,7 @@ def criterion_5(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_6(threads: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     details = []
     ok = True
     try:
@@ -218,7 +205,7 @@ def criterion_6(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_7(threads: int = 1) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     details = []
     ok = True
     try:
@@ -244,7 +231,7 @@ def criterion_7(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_8(threads: int = 1) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     bad = []
     total = 0
     for p in enumerate_posets(5, max_height=2):
@@ -261,7 +248,7 @@ def criterion_8(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_9(threads: int = 1) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     # Count the extensions that the real at_least_k pulls from the
     # enumerator, per decision.
     original = linext._extension_orders
@@ -302,7 +289,7 @@ def criterion_9(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     bad = 0
     hits_r = hits_s = 0
     for n in range(8):
@@ -341,9 +328,9 @@ def _c11_worker(p: Poset) -> tuple[bool, bool]:
     return ruskey.is_connected(g), bipartite and abs(plus - minus) == si
 
 
-def criterion_11(threads: int = 1) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     classes6 = [p for n in range(7) for p in enumerate_posets(n)]
-    results = _pmap(_c11_worker, classes6, threads)
+    results = _pmap(_c11_worker, classes6)
     disconnected = sum(1 for c, _ in results if not c)
     badparts = sum(1 for _, okp in results if not okp)
     inconsistent = 0
@@ -379,9 +366,9 @@ def _c12_worker(p: Poset) -> bool:
     return True
 
 
-def criterion_12(threads: int = 1) -> CriterionResult:
+def criterion_12() -> CriterionResult:
     classes = [p for n in range(7) for p in enumerate_posets(n)]
-    oks = _pmap(_c12_worker, classes, threads)
+    oks = _pmap(_c12_worker, classes)
     bad = oks.count(False)
     return CriterionResult(
         12,
@@ -399,7 +386,7 @@ NEVER_DIVIDING_600 = [
 ]
 
 
-def criterion_13(threads: int = 1) -> CriterionResult:
+def criterion_13() -> CriterionResult:
     details = []
     table = euler_numbers(12)
     table_ok = all(
@@ -442,7 +429,7 @@ def criterion_13(threads: int = 1) -> CriterionResult:
     )
 
 
-def criterion_14(threads: int = 1) -> CriterionResult:
+def criterion_14() -> CriterionResult:
     return CriterionResult(
         14,
         "declared not desk-reproducible",
@@ -474,5 +461,5 @@ CRITERIA = [
 ]
 
 
-def run_all(threads: int = 1) -> list[CriterionResult]:
-    return [c(threads=threads) for c in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [c() for c in CRITERIA]

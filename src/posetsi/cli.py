@@ -9,7 +9,6 @@ depth.
 
 import argparse
 import json
-import os
 import sys
 
 from . import acceptance, domino, h2, ruskey
@@ -261,7 +260,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = acceptance.run_all(threads=args.threads)
+    results = acceptance.run_all()
     if args.json:
         print(
             json.dumps(
@@ -368,7 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dump-graph", action="store_true",
                    help="print the vertex table and edge list")
     s.add_argument("--graph-cap", type=int, default=ruskey.GRAPH_CAP)
-    s.add_argument("--path-cap", type=int, default=ruskey.HAMPATH_CAP)
+    s.add_argument(
+        "--path-cap", type=int, default=ruskey.HAMPATH_CAP,
+        help="exit 3 once the Hamiltonian path search has entered more "
+        "than this many search nodes (vertices, counted on every branch)",
+    )
     s.set_defaults(func=_cmd_ruskey)
 
     s = common(sub.add_parser("euler", help="zigzag number table and primes"))
@@ -381,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_euler)
 
     s = common(sub.add_parser("verify-all", help="run the acceptance suite"))
-    s.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     s.set_defaults(func=_cmd_verify_all)
 
     return ap

@@ -117,9 +117,10 @@ def is_tableau(p: Poset, t: DominoTableau) -> bool:
     return True
 
 
-def _cover_matchings(p: Poset, cap: int = MATCHING_CAP) -> Iterator[DominoTableau]:
+def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
     """All partitions into cover 2-chains plus at most one maximal
-    singleton (no ordering condition yet)."""
+    singleton (no ordering condition yet), raising ResourceLimit past
+    ``MATCHING_CAP`` of them."""
     n = p.n
     full = (1 << n) - 1
     if n == 0:
@@ -132,8 +133,8 @@ def _cover_matchings(p: Poset, cap: int = MATCHING_CAP) -> Iterator[DominoTablea
         nonlocal produced
         if uncovered == 0:
             produced += 1
-            if produced > cap:
-                raise ResourceLimit(f"matching count exceeded cap {cap}")
+            if produced > MATCHING_CAP:
+                raise ResourceLimit(f"matching count exceeded cap {MATCHING_CAP}")
             yield DominoTableau(tuple(sorted(pairs)), singleton)
             return
         u = (uncovered & -uncovered).bit_length() - 1
@@ -153,11 +154,9 @@ def _cover_matchings(p: Poset, cap: int = MATCHING_CAP) -> Iterator[DominoTablea
     yield from rec(full, None)
 
 
-def _tableaux(
-    p: Poset, cap: int = MATCHING_CAP
-) -> Iterator[tuple[DominoTableau, Poset]]:
+def _tableaux(p: Poset) -> Iterator[tuple[DominoTableau, Poset]]:
     """Each cover matching that is a tableau, with its quotient."""
-    for t in _cover_matchings(p, cap):
+    for t in _cover_matchings(p):
         try:
             q = quotient(p, t)
         except NotATableau:
@@ -165,9 +164,9 @@ def _tableaux(
         yield t, q
 
 
-def enumerate_tableaux(p: Poset, cap: int = MATCHING_CAP) -> list[DominoTableau]:
+def enumerate_tableaux(p: Poset) -> list[DominoTableau]:
     """All domino tableaux, sorted by their pair lists."""
-    return sorted(t for t, _ in _tableaux(p, cap))
+    return sorted(t for t, _ in _tableaux(p))
 
 
 def _order(t: DominoTableau, q: Poset) -> list[int]:
@@ -208,9 +207,9 @@ def adapted_count(p: Poset, t: DominoTableau) -> int:
     return _term(t, quotient(p, t))[1]
 
 
-def si_via_quotients(p: Poset, cap: int = MATCHING_CAP) -> int:
+def si_via_quotients(p: Poset) -> int:
     """Sign imbalance as |sum over tableaux of sgn(t) * adapted count|."""
-    terms = (_term(t, q) for t, q in _tableaux(p, cap))
+    terms = (_term(t, q) for t, q in _tableaux(p))
     return abs(sum(sgn * count for sgn, count in terms))
 
 

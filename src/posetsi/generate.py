@@ -8,7 +8,7 @@ reuse across sweeps.
 """
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .canon import canonical_form
 from .errors import VerificationError
@@ -57,23 +57,18 @@ def _classes(n: int, height2: bool) -> tuple[Poset, ...]:
     return tuple(out)
 
 
-def enumerate_posets(
-    n: int,
-    max_height: int | None = None,
-    predicate: Callable[[Poset], bool] | None = None,
-) -> Iterator[Poset]:
+def enumerate_posets(n: int, max_height: int | None = None) -> Iterator[Poset]:
     """One representative per isomorphism class of posets on n elements.
 
     ``max_height`` keeps the classes of at most that height: a bound of 2
     or less prunes generation to height 2, and any bound other than 2 is
-    also a post-filter. ``predicate`` filters the stream. Practical bound
-    is n <= 8 for the full lattice of classes.
+    also a post-filter. Practical bound is n <= 8 for the full lattice of
+    classes.
     """
     height2 = max_height is not None and max_height <= 2
     for p in _classes(n, height2):
         if max_height in (None, 2) or stats(p).height <= max_height:
-            if predicate is None or predicate(p):
-                yield p
+            yield p
 
 
 def poset_class_count(n: int, max_height: int | None = None) -> int:

@@ -143,11 +143,11 @@ def signed_count(p: Poset, downset_cap: int = DOWNSET_CAP) -> SignedCount:
     return SignedCount(total, sgn, abs(sgn))
 
 
-def count_mod(p: Poset, q: int, downset_cap: int = DOWNSET_CAP) -> int:
+def count_mod(p: Poset, q: int) -> int:
     """e(P) mod q, reduced from the exact count."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    return _full_count(p, downset_cap) % q
+    return _full_count(p, DOWNSET_CAP) % q
 
 
 def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:

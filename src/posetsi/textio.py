@@ -49,9 +49,10 @@ def read_poset(text: str) -> Poset:
         if tok[0] == "n":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate n line")
-            if len(tok) != 2 or not tok[1].isdigit():
+            count = _ints(lineno, tok[1:])
+            if len(count) != 1 or count[0] < 0:
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
-            n = int(tok[1])
+            n = count[0]
         elif tok[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: 'e' before 'n'")

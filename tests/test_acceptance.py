@@ -7,6 +7,9 @@ parity from the third term on. That failure is recorded via strict xfail
 rather than weakened away.
 """
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from posetsi import acceptance, domino, linext
@@ -54,9 +57,18 @@ def test_criterion_13_congruence_modulus_two():
     assert all(check_congruence(n, 2) for n in range(3, 31))
 
 
+def allow_cpus(monkeypatch, count):
+    """Make the acceptance suite see ``count`` CPUs for this process."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
 def test_criterion_3_neither_validates_nor_enumerates_labels(monkeypatch):
     # the brute route reads its count and signed sum from the streamed
-    # element orders alone; the classes with n <= 5 keep the test short
+    # element orders alone; the classes with n <= 5 keep the test short.
+    # One CPU keeps the sweep in this process, where the calls are counted.
+    allow_cpus(monkeypatch, 1)
     calls = 0
 
     def counting(*args, **kwargs):
@@ -76,9 +88,21 @@ def test_criterion_3_neither_validates_nor_enumerates_labels(monkeypatch):
     assert calls == 0
 
 
-def test_criterion_12_process_pool_matches_in_process():
-    # verify-all's default runs the criteria in a process pool, which
-    # pickles every Poset it sends to a worker
-    pooled = acceptance.criterion_12(threads=2)
-    assert pooled == acceptance.criterion_12(threads=1)
+def test_criterion_12_process_pool_matches_in_process(monkeypatch):
+    # on more than one CPU the sweep runs in a process pool, which pickles
+    # every Poset it sends to a worker
+    pools = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", Recording)
+    allow_cpus(monkeypatch, 2)
+    pooled = acceptance.criterion_12()
+    allow_cpus(monkeypatch, 1)
+    in_process = acceptance.criterion_12()
+    assert pools == [2]
+    assert pooled == in_process
     assert pooled.ok, pooled.details

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from posetsi.cli import main
+from posetsi.cli import build_parser, main
 from posetsi.errors import PosetsiError, ResourceLimit, VerificationError
 from posetsi.textio import parse_family
 
@@ -277,6 +278,11 @@ def test_exit_code_malformed(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "count", str(tmp_path / "missing.poset"))
     assert code == 2
+    for count in ("x", "²", "-1"):
+        bad.write_text(f"n {count}\n", encoding="utf-8")
+        code, _, err = run(capsys, "count", str(bad))
+        assert code == 2
+        assert err.startswith("error: line 1:")
 
 
 def test_exit_code_cycle(capsys, tmp_path):
@@ -290,6 +296,64 @@ def test_exit_code_resource(capsys):
     code, _, err = run(capsys, "count", "antichain:24", "--downset-cap", "100")
     assert code == 3
     assert "cap" in err
+
+
+def test_si_matching_cap(capsys, monkeypatch, tmp_path, eight_cycle):
+    from posetsi import domino
+    from posetsi.textio import write_poset
+
+    monkeypatch.setattr(domino, "MATCHING_CAP", 1)
+    path = tmp_path / "cycle.poset"
+    path.write_text(write_poset(eight_cycle))
+    code, _, err = run(capsys, "si", str(path))
+    assert code == 3
+    assert "matching count exceeded cap 1" in err
+
+
+def test_ruskey_path_cap(capsys):
+    code, _, err = run(capsys, "ruskey", "zigzag:8", "--hampath", "--path-cap", "1000")
+    assert code == 3
+    assert "budget of 1000" in err and "--path-cap" in err
+    code, out, _ = run(capsys, "ruskey", "zigzag:4", "--hampath", "--path-cap", "5")
+    assert code == 0
+    assert "path_found: True" in out
+
+
+def test_option_inventory():
+    # every flag of every subcommand; a new flag belongs in this table
+    want = {
+        "count": ["--downset-cap", "--json"],
+        "si": ["--downset-cap", "--enum-cap", "--json"],
+        "domino": ["--json"],
+        "lift": ["--json", "--rel"],
+        "decompose": ["--json"],
+        "h2sb": ["--json", "--k"],
+        "f": ["--json", "--n", "--q"],
+        "bounds": ["--json", "--n"],
+        "spectrum": ["--json", "--max-n"],
+        "ruskey": [
+            "--adjacent", "--dump-graph", "--graph-cap", "--hampath", "--json",
+            "--path-cap",
+        ],
+        "euler": [
+            "--bound", "--congruence", "--json", "--max-n", "--primes", "--q",
+        ],
+        "verify-all": ["--json"],
+    }
+    parser = build_parser()
+    [commands] = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    got = {
+        name: sorted(
+            s
+            for action in sub._actions
+            for s in action.option_strings
+            if s not in ("-h", "--help")
+        )
+        for name, sub in commands.choices.items()
+    }
+    assert got == want
 
 
 def test_caps_only_on_count_and_si(capsys):
@@ -336,8 +400,15 @@ def test_exit_code_memory(capsys, monkeypatch):
     assert "MemoryError" in err
 
 
+def test_verify_all_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_verify_all_reports_known_defect(capsys):
-    code, out, _ = run(capsys, "verify-all", "--threads", "1", "--json")
+    code, out, _ = run(capsys, "verify-all", "--json")
     assert code == 1  # the q = 2 congruence criterion cannot pass
     results = json.loads(out)
     assert len(results) == 14

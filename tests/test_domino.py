@@ -7,6 +7,7 @@ from posetsi import (
     DominoTableau,
     MalformedPartition,
     NotATableau,
+    ResourceLimit,
     adapted_count,
     adapted_extension,
     antichain,
@@ -185,6 +186,16 @@ def test_eight_cycle_tableaux(eight_cycle):
     signs = sorted(tableau_sign(eight_cycle, t) for t in tabs)
     assert signs == [-1, 1]
     assert si_via_quotients(eight_cycle) == 2
+
+
+def test_matching_cap(monkeypatch, eight_cycle):
+    # the eight-cycle has exactly two cover matchings, and the walk reads
+    # the cap when it runs
+    monkeypatch.setattr(domino, "MATCHING_CAP", 2)
+    assert si_via_quotients(eight_cycle) == 2
+    monkeypatch.setattr(domino, "MATCHING_CAP", 1)
+    with pytest.raises(ResourceLimit, match="matching count exceeded cap 1"):
+        si_via_quotients(eight_cycle)
 
 
 def test_eight_cycle_quotients_not_isomorphic(eight_cycle):

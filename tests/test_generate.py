@@ -48,14 +48,6 @@ def test_height_filter_agrees_with_post_filter():
             assert any(is_isomorphic(p, q) for q in filtered)
 
 
-def test_predicate_filter():
-    connected = list(
-        enumerate_posets(4, predicate=lambda p: stats(p).components == 1)
-    )
-    assert all(stats(p).components == 1 for p in connected)
-    assert 0 < len(connected) < poset_class_count(4)
-
-
 def test_empty_size():
     assert poset_class_count(0) == 1
     [empty] = enumerate_posets(0)

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -167,6 +168,23 @@ def test_graph_cap():
         build_graph(antichain(6), cap=100)
     with pytest.raises(ResourceLimit):
         hamiltonian_path(build_graph(antichain(5)), cap=10)
+
+
+def test_path_cap_bounds_search_nodes():
+    # zigzag(8) has 1,385 vertices and no path is found within 10**6 nodes
+    g = build_graph(zigzag(8))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit) as exc:
+        hamiltonian_path(g, cap=10**4)
+    assert time.perf_counter() - start < 10
+    msg = str(exc.value)
+    assert "visited 10001 nodes" in msg and "budget of 10000" in msg
+    assert "--path-cap" in msg
+    # a path with no backtracking enters each vertex once
+    g = build_graph(zigzag(6))
+    assert len(hamiltonian_path(g, cap=len(g.vertices))) == len(g.vertices)
+    with pytest.raises(ResourceLimit):
+        hamiltonian_path(g, cap=len(g.vertices) - 1)
 
 
 def test_report_examples(eight_cycle):

@@ -48,8 +48,9 @@ def test_format_errors():
         read_poset("e 0 1\nn 3\n")  # edge before n
     with pytest.raises(FormatError):
         read_poset("n 3\nn 4\n")  # duplicate n
-    with pytest.raises(FormatError):
-        read_poset("n x\n")
+    for count in ("x", "²", "-1"):
+        with pytest.raises(FormatError):
+            read_poset(f"n {count}\n")
     with pytest.raises(FormatError):
         read_poset("n 3\ne 0\n")
     with pytest.raises(FormatError):
