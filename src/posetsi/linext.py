@@ -7,17 +7,22 @@ to the identity on element indices, so sgn is the inversion parity of the
 label array; imbalance is independent of that choice.
 
 One walk over the lattice of down-sets, ``_layers``, serves every exact
-count: e(P), the signed sum, e(P) mod q and the list of down-sets that
-poset generation attaches new elements over. It stores one popcount
-layer at a time and raises :class:`ResourceLimit` the moment the number
-of stored down-sets would pass the cap, before the rest of the layer is
-built. Enumeration (``_extension_orders``) is a separate depth-first
-walk, so that it can stop after the first k extensions. It is also the
-independent brute route: ``_enumerated_signed`` streams it to count and
-sign every extension, and the CLI and the acceptance suite check the
-walk's answers against it.
+count: e(P), or e(P) and the signed sum together in a single pass, e(P)
+mod q and the list of down-sets that poset generation attaches new
+elements over. Each stored down-set keeps one int that packs its count
+(and signed sum) above its addable set, the minimal elements of its
+complement, so the walk steps only over elements that can be added and
+each lattice edge costs one dict update. It stores one popcount layer at
+a time and raises :class:`ResourceLimit` the moment the number of stored
+down-sets would pass the cap, before the rest of the layer is built.
+Enumeration (``_extension_orders``) is a separate depth-first walk on an
+explicit stack, so that it can stop after the first k extensions. It is
+also the independent brute route: ``_enumerated_signed`` streams it to
+count and sign every extension, and the CLI and the acceptance suite
+check the walk's answers against it.
 """
 
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidExtension, ResourceLimit
@@ -77,69 +82,109 @@ def sign(p: Poset, labels: tuple[int, ...]) -> int:
     return _parity(labels)
 
 
+def _unpack(value: int, n: int, s: int) -> tuple[int, int]:
+    """(count, signed sum) of a stored down-set value whose signed sum
+    takes ``s`` bits above the ``n`` addable bits; with s = 0 the signed
+    sum reads 0."""
+    value >>= n
+    r = value & ((1 << s) - 1)
+    if s and r >> (s - 1):
+        r -= 1 << s
+    return (value - r) >> s, r
+
+
+def _shift(k: int, signed: bool) -> int:
+    """Bits for the signed sum in layer k: |signed| <= count <= k!."""
+    return factorial(k).bit_length() + 1 if signed else 0
+
+
 def _layers(
     p: Poset, downset_cap: int = DOWNSET_CAP, signed: bool = False
 ) -> Iterator[dict[int, int]]:
     """Walk the lattice of down-sets one popcount layer at a time.
 
-    Yields layer k as ``{down-set mask: count}`` for k = 0..n, where count
-    is the number of ways to build the down-set one minimal element at a
-    time; the last layer is ``{full mask: e(P)}``. Appending x gives it
+    Yields layer k as ``{down-set mask: value}`` for k = 0..n. The count
+    of a down-set is the number of ways to build it one minimal element
+    at a time, so the last layer's count is e(P). Appending x gives it
     the next label, which creates one inversion per placed element with a
-    larger index, so with ``signed`` each way is weighted by
-    (-1)**popcount(down-set & indices-above-x) and the last layer holds
-    the signed sum instead. Every distinct down-set, the empty one
-    included, counts toward ``downset_cap`` as it is stored.
+    larger index; with ``signed`` each way is also weighted by
+    (-1)**popcount(down-set & indices-above-x), and that signed sum rides
+    along in the same pass. A value is one int: the low n bits are the
+    down-set's addable set (the minimal elements of its complement), and
+    above them sits the count, or with ``signed`` the number
+    ``(count << s) + signed`` with s = ``_shift(k, True)``; ``_unpack``
+    reads it. Only addable elements are stepped over, so each lattice
+    edge costs one dict update. A child's addable set is built once, when
+    the child is first stored: the parent's set minus x, plus each upper
+    cover of x whose elements below are now all placed. Every distinct
+    down-set, the empty one included, counts toward ``downset_cap`` as it
+    is stored.
     """
     n = p.n
     full = (1 << n) - 1
     down = p.down
-    high = [full & ~((1 << (x + 1)) - 1) for x in range(n)]
-    cur = {0: 1}
+    covers = [[(1 << y, down[y]) for y in iter_bits(p.cover_up[x])] for x in range(n)]
+    s = _shift(0, signed)
+    minimal = sum(1 << x for x in range(n) if not down[x])
+    cur = {0: ((1 << s) + signed) << n | minimal}  # count 1; signed sum 1 if signed
     stored = 1
     yield cur
     for k in range(1, n + 1):
+        prev, s = s, _shift(k, signed)
         nxt: dict[int, int] = {}
+        get = nxt.get
         for mask, val in cur.items():
-            free = ~mask & full
+            addable = val & full
+            if signed:
+                count, sgn = _unpack(val, n, prev)
+                plus = ((count << s) + sgn) << n
+                minus = ((count << s) - sgn) << n
+            else:
+                plus = val ^ addable
+            free = addable
             while free:
                 low = free & -free
                 free ^= low
-                x = low.bit_length() - 1
-                if down[x] & ~mask:
-                    continue
                 new = mask | low
-                add = -val if signed and (mask & high[x]).bit_count() & 1 else val
-                if new in nxt:
-                    nxt[new] += add
-                else:
-                    stored += 1
-                    if stored > downset_cap:
-                        raise ResourceLimit(
-                            f"down-set count exceeded cap {downset_cap} in layer "
-                            f"{k} of {n}; raise it with --downset-cap"
-                        )
-                    nxt[new] = add
+                # placed elements above x: mask >> (x + 1)
+                odd = signed and (mask >> low.bit_length()).bit_count() & 1
+                inc = minus if odd else plus
+                old = get(new)
+                if old is not None:
+                    nxt[new] = old + inc
+                    continue
+                stored += 1
+                if stored > downset_cap:
+                    raise ResourceLimit(
+                        f"down-set count exceeded cap {downset_cap} in layer "
+                        f"{k} of {n}; raise it with --downset-cap"
+                    )
+                child = addable ^ low
+                for ybit, below in covers[low.bit_length() - 1]:
+                    if not below & ~new:
+                        child |= ybit
+                nxt[new] = inc | child
         yield nxt
         cur = nxt
 
 
-def _full_count(p: Poset, downset_cap: int, signed: bool = False) -> int:
-    """The count at the full down-set, read from the walk's last layer."""
+def _full_count(p: Poset, downset_cap: int, signed: bool = False) -> tuple[int, int]:
+    """(e(P), signed sum), read from the walk's last layer; the signed
+    sum is 0 unless ``signed``."""
     for layer in _layers(p, downset_cap, signed):
         pass
-    return layer[(1 << p.n) - 1]
+    return _unpack(layer[(1 << p.n) - 1], p.n, _shift(p.n, signed))
 
 
 def count_extensions(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
     """Exact e(P) by dynamic programming over down-sets."""
-    return _full_count(p, downset_cap)
+    return _full_count(p, downset_cap)[0]
 
 
 def signed_count(p: Poset, downset_cap: int = DOWNSET_CAP) -> SignedCount:
-    """e(P) together with the exact signed sum over all extensions."""
-    total = _full_count(p, downset_cap)
-    sgn = _full_count(p, downset_cap, signed=True)
+    """e(P) together with the exact signed sum over all extensions, from
+    one walk."""
+    total, sgn = _full_count(p, downset_cap, signed=True)
     return SignedCount(total, sgn, abs(sgn))
 
 
@@ -147,33 +192,37 @@ def count_mod(p: Poset, q: int) -> int:
     """e(P) mod q, reduced from the exact count."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    return _full_count(p, DOWNSET_CAP) % q
+    return _full_count(p, DOWNSET_CAP)[0] % q
 
 
 def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:
     """Yield extensions as element sequences (label order), depth first
-    with ascending element choice."""
+    with ascending element choice, on an explicit stack so that no chain
+    is too long for it."""
     n = p.n
     down = p.down
-    seq: list[int] = []
     full = (1 << n) - 1
-
-    def rec(mask: int) -> Iterator[tuple[int, ...]]:
+    seq: list[int] = []
+    mask = 0
+    todo = [full]  # per depth, the elements not yet tried there
+    while todo:
         if mask == full:
             yield tuple(seq)
-            return
-        free = ~mask & full
+        free = todo[-1]
         while free:
             low = free & -free
             free ^= low
-            x = low.bit_length() - 1
-            if down[x] & ~mask:
-                continue
-            seq.append(x)
-            yield from rec(mask | low)
-            seq.pop()
-
-    return rec(0)
+            if not down[low.bit_length() - 1] & ~mask:
+                break
+        else:
+            todo.pop()
+            if seq:
+                mask ^= 1 << seq.pop()
+            continue
+        todo[-1] = free
+        seq.append(low.bit_length() - 1)
+        mask |= low
+        todo.append(~mask & full)
 
 
 def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:

@@ -35,9 +35,18 @@ def _content_lines(text: str):
         yield lineno, line.split()
 
 
+def _int(token: str) -> int:
+    """A plain decimal integer: ASCII digits with an optional leading
+    '-'. Python's ``int`` would also take '+3', '1_0' and other digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain integer: {token!r}")
+    return int(token)
+
+
 def _ints(lineno: int, tokens: list[str]) -> list[int]:
     try:
-        return [int(x) for x in tokens]
+        return [_int(x) for x in tokens]
     except ValueError as exc:
         raise FormatError(f"line {lineno}: non-integer element") from exc
 
@@ -119,7 +128,7 @@ def parse_family(spec: str) -> Poset:
     parts = spec.split(":")
     name = parts[0]
     try:
-        args = [int(x) for x in parts[1:]]
+        args = [_int(x) for x in parts[1:]]
     except ValueError as exc:
         raise FormatError(f"bad family arguments in {spec!r}") from exc
     if any(a < 0 for a in args):

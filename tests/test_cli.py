@@ -278,11 +278,15 @@ def test_exit_code_malformed(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "count", str(tmp_path / "missing.poset"))
     assert code == 2
-    for count in ("x", "²", "-1"):
-        bad.write_text(f"n {count}\n", encoding="utf-8")
+    for text in ("n x", "n ²", "n -1", "n 1_0", "n +3", "n 3\ne 0 +1"):
+        bad.write_text(text + "\n", encoding="utf-8")
         code, _, err = run(capsys, "count", str(bad))
         assert code == 2
-        assert err.startswith("error: line 1:")
+        assert err.startswith(f"error: line {len(text.splitlines())}:")
+    code, out, err = run(capsys, "count", "antichain:1_0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad family arguments")
 
 
 def test_exit_code_cycle(capsys, tmp_path):
@@ -363,11 +367,21 @@ def test_caps_only_on_count_and_si(capsys):
     assert "--downset-cap" in capsys.readouterr().err
 
 
-def test_exit_code_recursion(capsys):
-    # the brute-force route enumerates the one extension depth first
-    code, _, err = run(capsys, "si", "chain:1200")
+def test_exit_code_recursion(capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("posetsi.cli.count_extensions", too_deep)
+    code, _, err = run(capsys, "count", "chain:3")
     assert code == 3
     assert "RecursionError" in err
+
+
+def test_si_long_chain(capsys):
+    # the brute-force route enumerates the one extension depth first
+    code, out, _ = run(capsys, "si", "chain:1200")
+    assert code == 0
+    assert "si (brute force) = 1" in out
 
 
 @pytest.mark.parametrize(

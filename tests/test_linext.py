@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+import re
+from itertools import permutations, product
 import tracemalloc
 
 import pytest
@@ -28,7 +29,7 @@ from posetsi import (
 )
 from posetsi import linext
 from posetsi.linext import _layers
-from conftest import brute_label_arrays, brute_signed
+from conftest import brute_label_arrays, brute_signed, inversion_sign
 
 
 def test_count_fence_six():
@@ -131,6 +132,96 @@ def test_downset_cap_fires_before_the_layer_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_signed_walk_cap_message_matches_count():
+    messages = []
+    for count in (count_extensions, signed_count):
+        with pytest.raises(ResourceLimit) as exc:
+            count(antichain(24), downset_cap=100)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert re.search(r"cap 100 in layer 2 of 24.*--downset-cap", messages[1])
+
+
+def test_signed_downset_cap_fires_before_the_layer_is_built():
+    p = antichain(100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            signed_count(p, downset_cap=10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_signed_count_walks_once(monkeypatch):
+    walks = 0
+    real = linext._layers
+
+    def counting(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linext, "_layers", counting)
+    assert signed_count(zigzag(6)) == (61, 1, 1)
+    assert walks == 1
+
+
+def test_stored_values_match_brute_force_on_each_downset():
+    # every stored down-set D carries the number of ways to build it, the
+    # signed sum of those ways (elements in index order, so the sign is
+    # that of the induced labelling) and the minimal elements outside D;
+    # class representatives are naturally labelled (a < b in P implies
+    # a < b as integers), so the reversed labelling is checked too
+    reps = [p for n in range(7) for p in enumerate_posets(n)]
+    flipped = [p.relabel(range(p.n - 1, -1, -1)) for p in reps]
+    for p, signed in product(reps + flipped, (False, True)):
+        n, full = p.n, (1 << p.n) - 1
+        for k, layer in enumerate(_layers(p, signed=signed)):
+            s = linext._shift(k, signed)
+            for mask, value in layer.items():
+                elems = [x for x in range(n) if mask >> x & 1]
+                pos = {x: i for i, x in enumerate(elems)}
+                rels = [(pos[a], pos[b]) for a, b in p.relations() if b in pos]
+                arrays = brute_label_arrays(k, rels)
+                want = sum(map(inversion_sign, arrays)) if signed else 0
+                assert linext._unpack(value, n, s) == (len(arrays), want)
+                addable = [
+                    x
+                    for x in range(n)
+                    if x not in pos and all(a in pos for a in range(n) if p.lt(a, x))
+                ]
+                assert value & full == sum(1 << x for x in addable)
+
+
+def _recursive_orders(p):
+    """The depth-first enumeration as it was written recursively: ascending
+    element choice at every depth."""
+    n = p.n
+    full = (1 << n) - 1
+    seq = []
+
+    def rec(mask):
+        if mask == full:
+            yield tuple(seq)
+            return
+        for x in range(n):
+            if not mask >> x & 1 and not p.down[x] & ~mask:
+                seq.append(x)
+                yield from rec(mask | 1 << x)
+                seq.pop()
+
+    return rec(0)
+
+
+def test_extension_orders_match_recursive_order():
+    for n in range(7):
+        for p in enumerate_posets(n):
+            assert list(linext._extension_orders(p)) == list(_recursive_orders(p))
+    assert list(linext._extension_orders(antichain(0))) == [()]
 
 
 def test_walk_lists_every_downset():

@@ -48,9 +48,11 @@ def test_format_errors():
         read_poset("e 0 1\nn 3\n")  # edge before n
     with pytest.raises(FormatError):
         read_poset("n 3\nn 4\n")  # duplicate n
-    for count in ("x", "²", "-1"):
+    for count in ("x", "²", "-1", "1_0", "+3"):
         with pytest.raises(FormatError):
             read_poset(f"n {count}\n")
+    with pytest.raises(FormatError):
+        read_poset("n 3\ne 0 +1\n")
     with pytest.raises(FormatError):
         read_poset("n 3\ne 0\n")
     with pytest.raises(FormatError):
@@ -108,6 +110,6 @@ def test_parse_family():
     assert parse_family("zigzag:6") == zigzag(6)
     assert parse_family("grid:2:3") == grid(2, 3)
     assert parse_family("antichain:3").n == 3
-    for bad in ("chain", "chain:x", "chain:-1", "grid:2", "mystery:3"):
+    for bad in ("chain", "chain:x", "chain:-1", "grid:2", "mystery:3", "antichain:1_0"):
         with pytest.raises(FormatError):
             parse_family(bad)
