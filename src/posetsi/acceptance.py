@@ -2,12 +2,13 @@
 
 Each criterion is a function returning a :class:`CriterionResult`; the CLI
 ``verify-all`` subcommand runs them in order and exits nonzero if any
-fails. Criteria 3, 4, 11 and 12 check every class up to a size; they
-spread the classes over a process pool when this process may run on more
-than one CPU, and check them in-process otherwise, with the same result.
-Criterion 2 builds its eight-cycle exactly as drawn in its figure.
+fails. Every criterion is one sequential check in the process that calls
+it. Only ``run_all`` starts processes, and each of them runs whole
+criteria. Criterion 2 builds its eight-cycle exactly as drawn in its
+figure.
 """
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,19 +44,6 @@ class CriterionResult:
         if self.ok:
             return "PASS"
         return "FAIL (known spec defect)" if self.known_defect else "FAIL"
-
-
-def _pmap(fn, items):
-    """[fn(x) for x in items], in a process pool when this process may
-    run on more than one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=cpus) as pool:
-        return list(pool.map(fn, items, chunksize=64))
 
 
 def criterion_1() -> CriterionResult:
@@ -106,8 +94,7 @@ def _c3_worker(p: Poset) -> bool:
 
 def criterion_3() -> CriterionResult:
     classes = [p for n in range(8) for p in enumerate_posets(n)]
-    oks = _pmap(_c3_worker, classes)
-    bad = oks.count(False)
+    bad = sum(not _c3_worker(p) for p in classes)
     return CriterionResult(
         3,
         "oracle equivalence on all classes with n <= 7: "
@@ -142,8 +129,7 @@ def _is_adapted_to(p: Poset, labels, t) -> bool:
 
 def criterion_4() -> CriterionResult:
     classes = [p for n in range(7) for p in enumerate_posets(n)]
-    oks = _pmap(_c4_worker, classes)
-    bad = oks.count(False)
+    bad = sum(not _c4_worker(p) for p in classes)
     return CriterionResult(
         4,
         "involution suite on all classes with n <= 6: order two, "
@@ -330,7 +316,7 @@ def _c11_worker(p: Poset) -> tuple[bool, bool]:
 
 def criterion_11() -> CriterionResult:
     classes6 = [p for n in range(7) for p in enumerate_posets(n)]
-    results = _pmap(_c11_worker, classes6)
+    results = [_c11_worker(p) for p in classes6]
     disconnected = sum(1 for c, _ in results if not c)
     badparts = sum(1 for _, okp in results if not okp)
     inconsistent = 0
@@ -368,8 +354,7 @@ def _c12_worker(p: Poset) -> bool:
 
 def criterion_12() -> CriterionResult:
     classes = [p for n in range(7) for p in enumerate_posets(n)]
-    oks = _pmap(_c12_worker, classes)
-    bad = oks.count(False)
+    bad = sum(not _c12_worker(p) for p in classes)
     return CriterionResult(
         12,
         "block-adapted extensions exist whenever q does not divide e "
@@ -462,4 +447,17 @@ CRITERIA = [
 
 
 def run_all() -> list[CriterionResult]:
-    return [c() for c in CRITERIA]
+    """Every criterion's result, in ``CRITERIA`` order: each criterion
+    runs whole in one process pool when this process may run on more than
+    one CPU, and the criteria run here in turn otherwise."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus <= 1:
+        return [c() for c in CRITERIA]
+    # spawned workers import the package afresh and inherit no threads
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(cpus, len(CRITERIA)), spawn) as pool:
+        futures = [pool.submit(c) for c in CRITERIA]
+        return [f.result() for f in futures]

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import acceptance, domino, h2, ruskey
+from . import domino, h2, ruskey
 from .errors import PosetsiError, ResourceLimit, VerificationError
 from .euler import check_congruence, euler_numbers, primes_never_dividing
 from .linext import (
@@ -23,6 +23,7 @@ from .linext import (
 )
 from .poset import Poset
 from .textio import (
+    _int,
     parse_family,
     read_poset,
     read_relation_pairs,
@@ -260,6 +261,9 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    # imported here: no other command needs the suite or its process pool
+    from . import acceptance
+
     results = acceptance.run_all()
     if args.json:
         print(
@@ -282,6 +286,19 @@ def _cmd_verify_all(args) -> int:
             for d in r.details:
                 print(f"     {d}")
     return 0 if all(r.ok for r in results) else 1
+
+
+def _nonnegative(token: str) -> int:
+    """An integer flag's value: plain ASCII digits, as in poset files."""
+    try:
+        value = _int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative plain integer: {token!r}"
+        )
+    return value
 
 
 def _add_poset_arg(sub) -> None:
@@ -307,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def downset_cap(s):
         s.add_argument(
-            "--downset-cap", type=int, default=DOWNSET_CAP,
+            "--downset-cap", type=_nonnegative, default=DOWNSET_CAP,
             help="exit 3 once the counting DP would store more than this "
             "many distinct down-sets (order ideals, the empty one included)",
         )
@@ -321,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_arg(s)
     downset_cap(s)
     s.add_argument(
-        "--enum-cap", type=int, default=ENUM_CAP,
+        "--enum-cap", type=_nonnegative, default=ENUM_CAP,
         help="enumerate extensions for the brute-force route only when "
         "e is at most this",
     )
@@ -342,20 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = common(sub.add_parser("h2sb", help="decide si >= k for height-2 posets"))
     _add_poset_arg(s)
-    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--k", type=_nonnegative, required=True)
     s.set_defaults(func=_cmd_h2sb)
 
     s = common(sub.add_parser("f", help="height-2 census counts"))
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--q", type=int)
+    s.add_argument("--n", type=_nonnegative, required=True)
+    s.add_argument("--q", type=_nonnegative)
     s.set_defaults(func=_cmd_f)
 
     s = common(sub.add_parser("bounds", help="odd-e bounds on 2n vertices"))
-    s.add_argument("--n", type=int, required=True, help="half the vertex count")
+    s.add_argument(
+        "--n", type=_nonnegative, required=True, help="half the vertex count"
+    )
     s.set_defaults(func=_cmd_bounds)
 
     s = common(sub.add_parser("spectrum", help="achievable extension counts"))
-    s.add_argument("--max-n", type=int, required=True)
+    s.add_argument("--max-n", type=_nonnegative, required=True)
     s.set_defaults(func=_cmd_spectrum)
 
     s = common(sub.add_parser("ruskey", help="transposition graph report"))
@@ -366,21 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search for a Hamiltonian path")
     s.add_argument("--dump-graph", action="store_true",
                    help="print the vertex table and edge list")
-    s.add_argument("--graph-cap", type=int, default=ruskey.GRAPH_CAP)
     s.add_argument(
-        "--path-cap", type=int, default=ruskey.HAMPATH_CAP,
+        "--graph-cap", type=_nonnegative, default=ruskey.GRAPH_CAP,
+        help="exit 3 once the transposition graph would have more than "
+        "this many vertices (linear extensions)",
+    )
+    s.add_argument(
+        "--path-cap", type=_nonnegative, default=ruskey.HAMPATH_CAP,
         help="exit 3 once the Hamiltonian path search has entered more "
         "than this many search nodes (vertices, counted on every branch)",
     )
     s.set_defaults(func=_cmd_ruskey)
 
     s = common(sub.add_parser("euler", help="zigzag number table and primes"))
-    s.add_argument("--max-n", type=int, default=30)
+    s.add_argument("--max-n", type=_nonnegative, default=30)
     s.add_argument("--congruence", action="store_true")
-    s.add_argument("--q", type=int, action="append",
+    s.add_argument("--q", type=_nonnegative, action="append",
                    help="modulus for --congruence (repeatable)")
     s.add_argument("--primes", action="store_true")
-    s.add_argument("--bound", type=int, default=600)
+    s.add_argument("--bound", type=_nonnegative, default=600)
     s.set_defaults(func=_cmd_euler)
 
     s = common(sub.add_parser("verify-all", help="run the acceptance suite"))

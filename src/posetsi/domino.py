@@ -120,38 +120,49 @@ def is_tableau(p: Poset, t: DominoTableau) -> bool:
 def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
     """All partitions into cover 2-chains plus at most one maximal
     singleton (no ordering condition yet), raising ResourceLimit past
-    ``MATCHING_CAP`` of them."""
+    ``MATCHING_CAP`` of them. The walk is depth first: the lowest uncovered
+    element is paired with an element covering it, then with one it
+    covers, then left as the singleton. It keeps one explicit stack frame
+    per part, so that no chain is too long for it."""
     n = p.n
-    full = (1 << n) - 1
     if n == 0:
         yield DominoTableau((), None)
         return
-    pairs: list[tuple[int, int]] = []
-    produced = 0
 
-    def rec(uncovered: int, singleton: int | None) -> Iterator[DominoTableau]:
-        nonlocal produced
-        if uncovered == 0:
-            produced += 1
-            if produced > MATCHING_CAP:
-                raise ResourceLimit(f"matching count exceeded cap {MATCHING_CAP}")
-            yield DominoTableau(tuple(sorted(pairs)), singleton)
-            return
+    def steps(uncovered: int, singleton: int | None):
+        # (part, elements left uncovered, singleton) per way to cover the
+        # lowest uncovered element; the part is a pair, or None for the
+        # singleton
         u = (uncovered & -uncovered).bit_length() - 1
         rest = uncovered ^ (1 << u)
         for w in iter_bits(p.cover_up[u] & rest):
-            pairs.append((u, w))
-            yield from rec(rest ^ (1 << w), singleton)
-            pairs.pop()
+            yield (u, w), rest ^ (1 << w), singleton
         for w in iter_bits(p.down[u] & rest):
             if p.cover_up[w] >> u & 1:
-                pairs.append((w, u))
-                yield from rec(rest ^ (1 << w), singleton)
-                pairs.pop()
+                yield (w, u), rest ^ (1 << w), singleton
         if singleton is None and n % 2 == 1 and not p.up[u]:
-            yield from rec(rest, u)
+            yield None, rest, u
 
-    yield from rec(full, None)
+    produced = 0
+    stack = [steps((1 << n) - 1, None)]
+    path = []  # the part that opened each frame above the first
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        part, uncovered, singleton = step
+        if uncovered:
+            path.append(part)
+            stack.append(steps(uncovered, singleton))
+            continue
+        produced += 1
+        if produced > MATCHING_CAP:
+            raise ResourceLimit(f"matching count exceeded cap {MATCHING_CAP}")
+        pairs = sorted(filter(None, path + [part]))
+        yield DominoTableau(tuple(pairs), singleton)
 
 
 def _tableaux(p: Poset) -> Iterator[tuple[DominoTableau, Poset]]:

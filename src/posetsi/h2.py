@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .canon import is_isomorphic
 from .domino import _cover_matchings, quotient
-from .errors import BadGoodSet, HeightExceeded, NotATableau, VerificationError
+from .errors import BadGoodSet, HeightExceeded, VerificationError
 from .generate import enumerate_posets
 from .linext import at_least_k, count_extensions, count_mod
 from .poset import Poset, iter_bits, stats
@@ -96,9 +96,12 @@ def decompose(q: Poset) -> Decomposition:
     """Invert the lift on a height-<=2 poset, or certify sign balance.
 
     Even n: not sign-balanced iff the Hasse diagram has a unique perfect
-    matching that is a tableau; the base is the quotient and the relation
-    set is read off the cross edges. Odd n: strip the unique isolated
-    vertex and recurse; any other shape is sign-balanced.
+    matching; the base is its quotient and the relation set is read off
+    the cross edges. A unique one is always a tableau: at height <= 2
+    every relation joins a minimal element to a maximal one, so a cycle
+    in the quotient would be an alternating cycle, and swapping along it
+    would give a second perfect matching. Odd n: strip the unique
+    isolated vertex and recurse; any other shape is sign-balanced.
     """
     height = stats(q).height
     if height > 2:
@@ -115,10 +118,7 @@ def decompose(q: Poset) -> Decomposition:
     t = _unique_perfect_matching(q)
     if t is None:
         return Decomposition("sign_balanced")
-    try:
-        base = quotient(q, t)
-    except NotATableau:
-        return Decomposition("sign_balanced")
+    base = quotient(q, t)
     # each pair is a cover, so (i, i) is in rel for every part i
     rel = frozenset(
         (i, j)

@@ -47,8 +47,15 @@ def build_graph(
     """Graph on all extensions. Each vertex's neighbours come from swapping
     the labels of each incomparable pair of elements and looking the
     result up; two label arrays differ in exactly two positions iff one is
-    the other with those labels swapped."""
-    verts = tuple(enumerate_extensions(p, cap=cap))
+    the other with those labels swapped. Past ``cap`` vertices it raises
+    ResourceLimit."""
+    try:
+        verts = tuple(enumerate_extensions(p, cap=cap))
+    except ResourceLimit as exc:
+        raise ResourceLimit(
+            f"transposition graph exceeded its cap of {cap} vertices: linear "
+            f"extension {cap + 1} was found; raise it with --graph-cap"
+        ) from exc
     index = {v: i for i, v in enumerate(verts)}
     pairs = [(a, b) for b in range(p.n) for a in range(b) if not p.comparable(a, b)]
     adjacency = []

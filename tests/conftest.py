@@ -5,6 +5,7 @@ they filter raw permutations, so they can sit on the other side of every
 equality the tests assert.
 """
 
+import os
 from itertools import permutations
 
 import pytest
@@ -35,6 +36,13 @@ def brute_signed(n, relations):
     """(count, |signed sum|) over all valid label arrays."""
     arrays = brute_label_arrays(n, relations)
     return len(arrays), abs(sum(inversion_sign(a) for a in arrays))
+
+
+def allow_cpus(monkeypatch, count):
+    """Make this process see ``count`` CPUs."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ parity from the third term on. That failure is recorded via strict xfail
 rather than weakened away.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -15,6 +14,7 @@ import pytest
 from posetsi import acceptance, domino, linext
 from posetsi.euler import check_congruence
 from posetsi.generate import enumerate_posets
+from conftest import allow_cpus
 
 NUMBERED = {
     1: acceptance.criterion_1,
@@ -57,18 +57,38 @@ def test_criterion_13_congruence_modulus_two():
     assert all(check_congruence(n, 2) for n in range(3, 31))
 
 
-def allow_cpus(monkeypatch, count):
-    """Make the acceptance suite see ``count`` CPUs for this process."""
+@pytest.fixture
+def pools(monkeypatch):
+    """(worker count, submitted functions) of each process pool that the
+    acceptance suite builds."""
+    built = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context=None):
+            self.tasks = []
+            built.append((max_workers, self.tasks))
+            super().__init__(max_workers, mp_context)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.tasks.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", Recording)
+    return built
+
+
+def only_small_classes(monkeypatch):
+    """Let the class sweeps see the classes with n <= 5 only."""
     monkeypatch.setattr(
-        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+        acceptance,
+        "enumerate_posets",
+        lambda n: enumerate_posets(n) if n <= 5 else iter(()),
     )
 
 
 def test_criterion_3_neither_validates_nor_enumerates_labels(monkeypatch):
     # the brute route reads its count and signed sum from the streamed
-    # element orders alone; the classes with n <= 5 keep the test short.
-    # One CPU keeps the sweep in this process, where the calls are counted.
-    allow_cpus(monkeypatch, 1)
+    # element orders alone; the classes with n <= 5 keep the test short
     calls = 0
 
     def counting(*args, **kwargs):
@@ -78,31 +98,48 @@ def test_criterion_3_neither_validates_nor_enumerates_labels(monkeypatch):
     for mod in (linext, domino, acceptance):
         for name in ("_validate", "enumerate_extensions"):
             monkeypatch.setattr(mod, name, counting, raising=False)
-    monkeypatch.setattr(
-        acceptance,
-        "enumerate_posets",
-        lambda n: enumerate_posets(n) if n <= 5 else iter(()),
-    )
+    only_small_classes(monkeypatch)
     result = acceptance.criterion_3()
     assert result.details == ["88 classes checked, 0 mismatches"]
     assert calls == 0
 
 
-def test_criterion_12_process_pool_matches_in_process(monkeypatch):
-    # on more than one CPU the sweep runs in a process pool, which pickles
-    # every Poset it sends to a worker
-    pools = []
-
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", Recording)
+def test_class_sweeps_build_no_pool(monkeypatch, pools):
+    # each criterion checks its classes in the calling process, on any
+    # number of CPUs, so no Poset is pickled
     allow_cpus(monkeypatch, 2)
-    pooled = acceptance.criterion_12()
+    only_small_classes(monkeypatch)
+    for criterion in (
+        acceptance.criterion_3,
+        acceptance.criterion_4,
+        acceptance.criterion_11,
+        acceptance.criterion_12,
+    ):
+        result = criterion()
+        assert result.ok, result.details
+    assert pools == []
+
+
+def test_run_all_builds_one_pool(monkeypatch, pools):
+    # on more than one CPU, run_all runs whole criteria in one pool and
+    # returns their results in CRITERIA order
+    criteria = [
+        acceptance.criterion_1,
+        acceptance.criterion_2,
+        acceptance.criterion_12,
+        acceptance.criterion_14,
+    ]
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    allow_cpus(monkeypatch, 2)
+    pooled = acceptance.run_all()
     allow_cpus(monkeypatch, 1)
-    in_process = acceptance.criterion_12()
-    assert pools == [2]
+    in_process = acceptance.run_all()
+    assert pools == [(2, criteria)]
     assert pooled == in_process
-    assert pooled.ok, pooled.details
+    assert [r.number for r in pooled] == [1, 2, 12, 14]
+    assert all(r.ok for r in pooled), pooled
+    # no more workers than criteria
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria[-1:])
+    allow_cpus(monkeypatch, 2)
+    assert acceptance.run_all() == [acceptance.criterion_14()]
+    assert pools[1:] == [(1, criteria[-1:])]

@@ -6,6 +6,7 @@ import pytest
 from posetsi.cli import build_parser, main
 from posetsi.errors import PosetsiError, ResourceLimit, VerificationError
 from posetsi.textio import parse_family
+from conftest import allow_cpus
 
 
 def run(capsys, *argv):
@@ -153,6 +154,30 @@ def test_lift_and_decompose_round_trip(capsys, tmp_path):
     assert rep["kind"] == "lift"
 
 
+def test_decompose_lift_plus_isolated(capsys, tmp_path):
+    # the lift of a two-chain, plus the isolated element 4
+    padded = tmp_path / "padded.poset"
+    padded.write_text("n 5\ne 0 2\ne 0 3\ne 1 3\n")
+    code, out, _ = run(capsys, "decompose", str(padded))
+    assert code == 0
+    assert out.splitlines() == [
+        "kind: lift_plus_isolated",
+        "base poset:",
+        "  n 2",
+        "  e 0 1",
+        "rel: (0,0) (0,1) (1,1)",
+        "isolated vertex: 4",
+    ]
+    code, out, _ = run(capsys, "decompose", str(padded), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "lift_plus_isolated",
+        "base": "n 2\ne 0 1\n",
+        "rel": [[0, 0], [0, 1], [1, 1]],
+        "isolated": 4,
+    }
+
+
 def test_lift_with_relation_file(capsys, tmp_path):
     base = tmp_path / "base.poset"
     base.write_text("n 3\ne 0 1\ne 1 2\n")
@@ -289,6 +314,34 @@ def test_exit_code_malformed(capsys, tmp_path):
     assert err.startswith("error: bad family arguments")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "chain:3", "--downset-cap", "1_0"),
+        ("count", "chain:3", "--downset-cap", "\u0663"),
+        ("count", "chain:3", "--downset-cap", "-1"),
+        ("si", "chain:3", "--enum-cap", "+5"),
+        ("ruskey", "chain:3", "--graph-cap", "-1"),
+        ("ruskey", "chain:3", "--path-cap", "1e3"),
+        ("h2sb", "antichain:2", "--k", "+1"),
+        ("f", "--n", "-1"),
+        ("f", "--n", "4", "--q", "\u00b2"),
+        ("bounds", "--n", " 2"),
+        ("spectrum", "--max-n", "1_0"),
+        ("euler", "--max-n", "-5"),
+        ("euler", "--congruence", "--q", "3", "--q", "-3"),
+        ("euler", "--primes", "--bound", "0x10"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_integer_flags_take_plain_nonnegative_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: not a nonnegative plain integer" in err
+
+
 def test_exit_code_cycle(capsys, tmp_path):
     bad = tmp_path / "cyc.poset"
     bad.write_text("n 2\ne 0 1\ne 1 0\n")
@@ -321,6 +374,13 @@ def test_ruskey_path_cap(capsys):
     code, out, _ = run(capsys, "ruskey", "zigzag:4", "--hampath", "--path-cap", "5")
     assert code == 0
     assert "path_found: True" in out
+
+
+def test_ruskey_graph_cap(capsys):
+    code, _, err = run(capsys, "ruskey", "zigzag:9", "--graph-cap", "10")
+    assert code == 3
+    assert "transposition graph exceeded its cap of 10 vertices" in err
+    assert "--graph-cap" in err
 
 
 def test_option_inventory():
@@ -419,6 +479,35 @@ def test_verify_all_has_no_threads_flag(capsys):
         main(["verify-all", "--threads", "1"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_verify_all_text_output(capsys, monkeypatch):
+    # one CPU keeps run_all in this process, where the stand-in criteria live
+    from posetsi import acceptance
+
+    allow_cpus(monkeypatch, 1)
+    defect = acceptance.CriterionResult(
+        13, "stated check", False, ["cannot hold"], known_defect=True
+    )
+    failure = acceptance.CriterionResult(7, "broken check", False)
+    monkeypatch.setattr(
+        acceptance,
+        "CRITERIA",
+        [acceptance.criterion_1, lambda: defect, lambda: failure],
+    )
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 1
+    assert out.splitlines() == [
+        " 1 PASS                     six-element fence: e = 61 and si = 1",
+        "     e = 61 (want 61), si = 1 (want 1)",
+        "13 FAIL (known spec defect) stated check",
+        "     cannot hold",
+        " 7 FAIL                     broken check",
+    ]
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_14])
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 0
+    assert out.startswith("14 PASS ")
 
 
 def test_verify_all_reports_known_defect(capsys):

@@ -34,6 +34,7 @@ from posetsi import (
     zigzag,
 )
 from posetsi import domino, linext
+from posetsi.poset import iter_bits
 
 
 def test_fence_six_has_unique_tableau():
@@ -186,6 +187,50 @@ def test_eight_cycle_tableaux(eight_cycle):
     signs = sorted(tableau_sign(eight_cycle, t) for t in tabs)
     assert signs == [-1, 1]
     assert si_via_quotients(eight_cycle) == 2
+
+
+def _recursive_cover_matchings(p):
+    """The recursive walk that ``_cover_matchings`` replaced, without its
+    cap: the reference for its yield order."""
+    if p.n == 0:
+        yield DominoTableau((), None)
+        return
+    pairs = []
+
+    def rec(uncovered, singleton):
+        if uncovered == 0:
+            yield DominoTableau(tuple(sorted(pairs)), singleton)
+            return
+        u = (uncovered & -uncovered).bit_length() - 1
+        rest = uncovered ^ (1 << u)
+        for w in iter_bits(p.cover_up[u] & rest):
+            pairs.append((u, w))
+            yield from rec(rest ^ (1 << w), singleton)
+            pairs.pop()
+        for w in iter_bits(p.down[u] & rest):
+            if p.cover_up[w] >> u & 1:
+                pairs.append((w, u))
+                yield from rec(rest ^ (1 << w), singleton)
+                pairs.pop()
+        if singleton is None and p.n % 2 == 1 and not p.up[u]:
+            yield from rec(rest, u)
+
+    yield from rec((1 << p.n) - 1, None)
+
+
+def test_cover_matchings_keep_the_recursive_order():
+    for n in range(7):
+        for p in enumerate_posets(n):
+            assert list(domino._cover_matchings(p)) == list(
+                _recursive_cover_matchings(p)
+            )
+
+
+def test_cover_matchings_of_a_long_chain():
+    # 1,050 parts deep, past the default recursion limit
+    [t] = domino._cover_matchings(chain(2100))
+    assert t.pairs == tuple((i, i + 1) for i in range(0, 2100, 2))
+    assert t.singleton is None
 
 
 def test_matching_cap(monkeypatch, eight_cycle):

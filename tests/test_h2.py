@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -13,6 +13,7 @@ from posetsi import (
     chain,
     count_extensions,
     count_f,
+    count_mod,
     count_f_q,
     decompose,
     disjoint_union,
@@ -22,12 +23,14 @@ from posetsi import (
     good_base,
     h2sb_decide,
     is_isomorphic,
+    is_tableau,
     odd_e_bounds,
     signed_count,
     spectrum,
     stats,
     zigzag,
 )
+from posetsi import domino
 
 
 def test_good_set_counts():
@@ -137,6 +140,20 @@ def test_decompose_balanced_cases(no_tableau_poset):
     assert decompose(no_tableau_poset).kind == "sign_balanced"
     assert decompose(antichain(3)).kind == "sign_balanced"
     assert decompose(antichain(4)).kind == "sign_balanced"
+
+
+def test_unique_cover_perfect_matching_is_a_tableau():
+    # at height <= 2 a cycle in the quotient would be an alternating cycle
+    # and give a second perfect matching, so decompose needs no fallback
+    unique = 0
+    for n in range(0, 9, 2):
+        for q in enumerate_posets(n, max_height=2):
+            matchings = list(islice(domino._cover_matchings(q), 2))
+            if len(matchings) == 1:
+                unique += 1
+                assert is_tableau(q, matchings[0])
+                assert decompose(q).kind == "lift"
+    assert unique == 41
 
 
 def test_decompose_with_isolated_vertex():
@@ -253,6 +270,33 @@ def test_odd_e_bounds_checks_the_returned_lift(monkeypatch):
     monkeypatch.setattr(h2, "decompose", minimal_rel)
     with pytest.raises(VerificationError):
         odd_e_bounds(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_f(-1),
+        lambda: count_f(12),
+        lambda: count_f_q(-1, 2),
+        lambda: count_f_q(9, 2),
+        lambda: count_f_q(4, 1),
+        lambda: odd_e_bounds(-1),
+        lambda: odd_e_bounds(5),
+        lambda: spectrum(-1),
+        lambda: spectrum(9),
+        lambda: count_mod(chain(2), 1),
+        lambda: h2sb_decide(chain(2), -1),
+    ],
+    ids=[
+        "count_f-low", "count_f-high", "count_f_q-low", "count_f_q-high",
+        "count_f_q-modulus", "odd_e_bounds-low", "odd_e_bounds-high",
+        "spectrum-low", "spectrum-high", "count_mod-modulus",
+        "h2sb_decide-threshold",
+    ],
+)
+def test_range_guards(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_spectrum_small(six_vertex_odd):

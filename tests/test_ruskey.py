@@ -19,7 +19,7 @@ from posetsi import (
     zigzag,
 )
 from posetsi import linext
-from posetsi.ruskey import part_sizes
+from posetsi.ruskey import TranspositionGraph, part_sizes
 
 
 def pairwise_graph(p, adjacent_only):
@@ -110,6 +110,38 @@ def test_hamiltonian_path_trivial_and_blocked(eight_cycle):
     assert hamiltonian_path(g) is None
 
 
+def hand_graph(signs, edges):
+    """A TranspositionGraph with the given signs and edges, and stand-in
+    vertex labels."""
+    adjacency = [[] for _ in signs]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return TranspositionGraph(
+        tuple((i,) for i in range(len(signs))),
+        tuple(edges),
+        tuple(signs),
+        False,
+        tuple(tuple(sorted(row)) for row in adjacency),
+    )
+
+
+def test_hamiltonian_path_none_when_disconnected():
+    # two disjoint edges: equal parts, but no path; no node is entered
+    g = hand_graph((1, -1, 1, -1), [(0, 1), (2, 3)])
+    assert hamiltonian_path(g, cap=0) is None
+
+
+def test_hamiltonian_path_none_after_exhausted_search():
+    # a 3+3 bipartite graph with four leaves: connected, equal parts, and
+    # no path, since a path has only two ends
+    g = hand_graph((1, 1, 1, -1, -1, -1), [(0, 3), (0, 4), (0, 5), (1, 3), (2, 3)])
+    assert is_connected(g)
+    assert hamiltonian_path(g) is None
+    with pytest.raises(ResourceLimit):
+        hamiltonian_path(g, cap=1)
+
+
 def test_found_paths_are_valid():
     for p in (antichain(3), zigzag(4), zigzag(5)):
         g = build_graph(p)
@@ -164,7 +196,8 @@ def test_graph_does_not_revalidate_extensions(monkeypatch):
 
 
 def test_graph_cap():
-    with pytest.raises(ResourceLimit):
+    message = "transposition graph exceeded its cap of 100 vertices: .*--graph-cap"
+    with pytest.raises(ResourceLimit, match=message):
         build_graph(antichain(6), cap=100)
     with pytest.raises(ResourceLimit):
         hamiltonian_path(build_graph(antichain(5)), cap=10)
