@@ -4,20 +4,20 @@ polynomial sign-imbalance decider, and the desk-scale census operations
 
 The lift of a base poset P under a good relation set R lives on two
 copies of P's elements: bottoms 0..n-1, tops n..2n-1, with x below n+y
-iff (x, y) is in R. Its sign imbalance equals e(P).
+iff (x, y) is in R. Its sign imbalance equals e(P). The inverse peels
+the lift's forced (bottom, top) pairs in one pass over its Hasse diagram.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator
 
 from .canon import is_isomorphic
-from .domino import _cover_matchings, quotient
 from .errors import BadGoodSet, HeightExceeded, VerificationError
 from .generate import enumerate_posets
 from .linext import at_least_k, count_extensions, count_mod
-from .poset import Poset, iter_bits, stats
+from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
     "GoodSet",
@@ -54,6 +54,9 @@ def good_base(p: Poset) -> GoodSet:
 
 
 def _validate_good(p: Poset, rel: GoodSet) -> None:
+    for x, y in rel:
+        if not (0 <= x < p.n and 0 <= y < p.n):
+            raise BadGoodSet(f"pair ({x}, {y}) is outside 0..{p.n - 1}")
     base = good_base(p)
     if not base <= rel:
         missing = sorted(base - rel)[0]
@@ -84,48 +87,55 @@ def build_lift(p: Poset, rel: GoodSet) -> Poset:
     return Poset(2 * n, tuple(up))
 
 
-def _unique_perfect_matching(q: Poset):
-    """The unique Hasse perfect matching as (bottom, top) pairs, or None
-    if there are zero or several. Called on even n only, where no cover
-    matching has a singleton."""
-    first_two = list(islice(_cover_matchings(q), 2))
-    return first_two[0] if len(first_two) == 1 else None
+def _forced_pairs(q: Poset, free: int) -> list[tuple[int, int]] | None:
+    """The unique perfect matching of the Hasse diagram on the elements of
+    ``free``, as (bottom, top) pairs sorted by bottom, or None if there are
+    zero or several. An element with one unmatched neighbour must be
+    matched to it, and at height <= 2 the diagram is bipartite, so if it
+    has a unique perfect matching some element has one neighbour (Kotzig
+    1959): peeling such elements either matches everything or stalls."""
+    nbr = [up | down for up, down in zip(q.up, q.down)]
+    pairs = []
+    todo = list(iter_bits(free))
+    while todo:
+        x = todo.pop()
+        only = nbr[x] & free
+        if free >> x & 1 and only.bit_count() == 1:
+            y = only.bit_length() - 1
+            free ^= 1 << x | only
+            pairs.append((x, y) if q.lt(x, y) else (y, x))
+            todo += iter_bits((nbr[x] | nbr[y]) & free)
+    return None if free else sorted(pairs)
 
 
 def decompose(q: Poset) -> Decomposition:
     """Invert the lift on a height-<=2 poset, or certify sign balance.
 
-    Even n: not sign-balanced iff the Hasse diagram has a unique perfect
-    matching; the base is its quotient and the relation set is read off
-    the cross edges. A unique one is always a tableau: at height <= 2
-    every relation joins a minimal element to a maximal one, so a cycle
-    in the quotient would be an alternating cycle, and swapping along it
-    would give a second perfect matching. Odd n: strip the unique
-    isolated vertex and recurse; any other shape is sign-balanced.
+    Not sign-balanced iff n mod 2 elements are isolated and the rest have
+    a unique Hasse perfect matching, found by ``_forced_pairs``. Sorted by
+    bottom, its pairs are the parts of the base: part i lies below part j
+    iff bottom i lies below top j. That relation is acyclic, since a cycle
+    would be an alternating cycle, and swapping along it would give a
+    second perfect matching.
     """
     height = stats(q).height
     if height > 2:
         raise HeightExceeded(f"requires height at most 2, got height {height}")
-    if q.n % 2 == 1:
-        iso = q.isolated_mask
-        if iso.bit_count() != 1:
-            return Decomposition("sign_balanced")
-        v = iso.bit_length() - 1
-        inner = decompose(q.subposet([x for x in range(q.n) if x != v]))
-        if inner.kind == "sign_balanced":
-            return inner
-        return Decomposition("lift_plus_isolated", inner.base, inner.rel, v)
-    t = _unique_perfect_matching(q)
-    if t is None:
+    iso = q.isolated_mask
+    if iso.bit_count() != q.n % 2:
         return Decomposition("sign_balanced")
-    base = quotient(q, t)
-    # each pair is a cover, so (i, i) is in rel for every part i
+    pairs = _forced_pairs(q, (1 << q.n) - 1 ^ iso)
+    if pairs is None:
+        return Decomposition("sign_balanced")
+    part = {top: i for i, (_, top) in enumerate(pairs)}
     rel = frozenset(
-        (i, j)
-        for i, (bot, _) in enumerate(t.pairs)
-        for j, (_, top) in enumerate(t.pairs)
-        if q.lt(bot, top)
+        (i, part[top])
+        for i, (bot, _) in enumerate(pairs)
+        for top in iter_bits(q.up[bot])
     )
+    base = from_covers(len(pairs), [(i, j) for i, j in rel if i != j])
+    if iso:
+        return Decomposition("lift_plus_isolated", base, rel, iso.bit_length() - 1)
     return Decomposition("lift", base, rel)
 
 

@@ -104,14 +104,6 @@ class Poset:
         return m
 
     @property
-    def maximal_mask(self) -> int:
-        m = 0
-        for i in range(self.n):
-            if not self.up[i]:
-                m |= 1 << i
-        return m
-
-    @property
     def isolated_mask(self) -> int:
         m = 0
         for i in range(self.n):

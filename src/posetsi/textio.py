@@ -1,4 +1,4 @@
-"""Line-oriented text formats: posets, extensions, tableaux, relations.
+"""Line-oriented text formats: posets, tableaux, relations.
 
 Poset files look like::
 
@@ -20,7 +20,6 @@ __all__ = [
     "read_poset",
     "write_poset",
     "read_relation_pairs",
-    "write_extension",
     "read_tableau",
     "write_tableau",
     "parse_family",
@@ -92,10 +91,6 @@ def read_relation_pairs(text: str) -> list[tuple[int, int]]:
             raise FormatError(f"line {lineno}: expected '<u> <v>'")
         pairs.append(tuple(_ints(lineno, tok)))
     return pairs
-
-
-def write_extension(labels: tuple[int, ...]) -> str:
-    return " ".join(map(str, labels))
 
 
 def write_tableau(t: DominoTableau) -> str:

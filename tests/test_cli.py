@@ -188,6 +188,16 @@ def test_lift_with_relation_file(capsys, tmp_path):
     assert out.count("e ") == 6  # diagonal (3) + covers (2) + extra (1)
 
 
+@pytest.mark.parametrize("pair", ["5 7", "-3 2"])
+def test_lift_rejects_pairs_outside_the_base(capsys, tmp_path, pair):
+    rel = tmp_path / "extra.rel"
+    rel.write_text(pair + "\n")
+    code, out, err = run(capsys, "lift", "chain:3", "--rel", str(rel))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: pair ({pair.replace(' ', ', ')}) is outside 0..2")
+
+
 def test_h2sb(capsys):
     code, out, _ = run(capsys, "h2sb", "antichain:4", "--k", "1", "--json")
     assert code == 0

@@ -352,7 +352,7 @@ def test_more_minimal_than_maximal_blocks_tableaux():
             if p.isolated_mask:
                 continue
             n_min = bin(p.minimal_mask).count("1")
-            n_max = bin(p.maximal_mask).count("1")
+            n_max = sum(1 for up in p.up if not up)
             if n_min > n_max:
                 assert enumerate_tableaux(p) == []
 

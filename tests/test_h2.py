@@ -1,6 +1,7 @@
 from itertools import islice, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetsi import (
     BadGoodSet,
@@ -55,6 +56,12 @@ def test_bad_good_sets():
         build_lift(p, good_base(p) | {(2, 0)})  # outside the order
     with pytest.raises(BadGoodSet):
         build_lift(antichain(2), good_base(antichain(2)) | {(0, 1)})
+    # pairs outside the base: one would index past the rows, the other
+    # would wrap around to a top and build a height-3 poset
+    with pytest.raises(BadGoodSet, match=r"pair \(5, 7\) is outside 0\.\.2"):
+        build_lift(p, good_base(p) | {(5, 7)})
+    with pytest.raises(BadGoodSet, match=r"pair \(-3, 2\) is outside 0\.\.2"):
+        build_lift(p, good_base(p) | {(-3, 2)})
 
 
 def test_lift_of_point_is_two_chain():
@@ -142,18 +149,91 @@ def test_decompose_balanced_cases(no_tableau_poset):
     assert decompose(antichain(4)).kind == "sign_balanced"
 
 
+def _reference_decompose(q):
+    """(kind, base, rel) by the route ``decompose`` replaced: set the one
+    isolated element aside when n is odd, walk the cover matchings for a
+    unique one, take its quotient and scan every pair of parts for rel."""
+    if q.n % 2:
+        iso = q.isolated_mask
+        if iso.bit_count() != 1:
+            return "sign_balanced", None, None
+        v = iso.bit_length() - 1
+        q = q.subposet(x for x in range(q.n) if x != v)
+    matchings = list(islice(domino._cover_matchings(q), 2))
+    if len(matchings) != 1:
+        return "sign_balanced", None, None
+    [t] = matchings
+    rel = frozenset(
+        (i, j)
+        for i, (bot, _) in enumerate(t.pairs)
+        for j, (_, top) in enumerate(t.pairs)
+        if q.lt(bot, top)
+    )
+    return "lift", domino.quotient(q, t), rel
+
+
+def _assert_matches_reference(q):
+    dec = decompose(q)
+    kind, base, rel = _reference_decompose(q)
+    if dec.kind == "lift_plus_isolated":
+        assert kind == "lift" and q.isolated_mask == 1 << dec.isolated
+    else:
+        assert dec.kind == kind and dec.isolated is None
+    assert (dec.base, dec.rel) == (base, rel)
+
+
 def test_unique_cover_perfect_matching_is_a_tableau():
     # at height <= 2 a cycle in the quotient would be an alternating cycle
-    # and give a second perfect matching, so decompose needs no fallback
+    # and give a second perfect matching, so decompose needs no fallback;
+    # its peeling pass gives the same base and rel as the matching walk
     unique = 0
-    for n in range(0, 9, 2):
+    for n in range(9):
         for q in enumerate_posets(n, max_height=2):
+            _assert_matches_reference(q)
+            if n % 2:
+                continue
             matchings = list(islice(domino._cover_matchings(q), 2))
             if len(matchings) == 1:
                 unique += 1
                 assert is_tableau(q, matchings[0])
                 assert decompose(q).kind == "lift"
     assert unique == 41
+
+
+@st.composite
+def _relabelled_lifts(draw):
+    """A lift of a random base on up to 7 elements, sometimes with an
+    isolated element, sometimes with one bottom-top relation toggled,
+    under a random relabelling."""
+    m = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base = from_covers(m, [pr for pr, keep in zip(pairs, kept) if keep])
+    extras = sorted(set(base.relations()) - good_base(base))
+    chosen = draw(st.sets(st.sampled_from(extras))) if extras else set()
+    up = list(build_lift(base, good_base(base) | chosen).up)
+    if m and draw(st.booleans()):
+        x, y = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        up[x] ^= 1 << (m + y)
+    if draw(st.booleans()):
+        up.append(0)
+    perm = draw(st.permutations(range(len(up))))
+    return Poset(len(up), tuple(up)).relabel(perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relabelled_lifts())
+def test_decompose_matches_the_matching_walk(q):
+    _assert_matches_reference(q)
+
+
+def test_decompose_large_lift_exactly():
+    # bottoms are 0..n-1 in the lift, so the base comes back verbatim
+    base = zigzag(2000)
+    dec = decompose(build_lift(base, good_base(base)))
+    assert dec.kind == "lift"
+    assert dec.base == base
+    assert dec.rel == good_base(base)
 
 
 def test_decompose_with_isolated_vertex():
@@ -245,14 +325,14 @@ def test_odd_e_bounds_walks_matchings_once_per_class(monkeypatch):
     from posetsi import h2
 
     calls = 0
-    real = h2._cover_matchings
+    real = h2._forced_pairs
 
-    def counting(q):
+    def counting(q, free):
         nonlocal calls
         calls += 1
-        return real(q)
+        return real(q, free)
 
-    monkeypatch.setattr(h2, "_cover_matchings", counting)
+    monkeypatch.setattr(h2, "_forced_pairs", counting)
     rep = odd_e_bounds(4)
     assert rep["classes_with_odd_e"] == 13
     assert calls == 13

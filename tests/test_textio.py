@@ -15,7 +15,6 @@ from posetsi.textio import (
     read_poset,
     read_relation_pairs,
     read_tableau,
-    write_extension,
     write_poset,
     write_tableau,
 )
@@ -67,10 +66,6 @@ def test_relation_pairs():
     assert read_relation_pairs("# c\n0 2\n1 3\n") == [(0, 2), (1, 3)]
     with pytest.raises(FormatError):
         read_relation_pairs("0 1 2\n")
-
-
-def test_extension_serialization():
-    assert write_extension((2, 1, 3)) == "2 1 3"
 
 
 def test_tableau_roundtrip():
