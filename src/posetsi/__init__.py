@@ -14,7 +14,6 @@ from .domino import (
     exists_q_adapted,
     is_q_adapted,
     is_tableau,
-    make_tableau,
     quotient,
     si_via_quotients,
     tableau_sign,
@@ -35,7 +34,6 @@ from .euler import (
     check_congruence,
     euler_numbers,
     euler_numbers_mod,
-    prime_avoiding_poset,
     primes_never_dividing,
 )
 from .generate import enumerate_posets, poset_class_count

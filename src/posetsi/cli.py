@@ -255,8 +255,8 @@ def _cmd_euler(args) -> int:
             ],
         )
         return 1 if failures else 0
-    for value in euler_numbers(args.max_n):
-        print(value)
+    values = [str(value) for value in euler_numbers(args.max_n)]
+    _emit(args, {"max_n": args.max_n, "values": values}, values)
     return 0
 
 

@@ -20,7 +20,6 @@ from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
     "DominoTableau",
-    "make_tableau",
     "is_tableau",
     "enumerate_tableaux",
     "quotient",
@@ -59,17 +58,6 @@ def _check_partition(p: Poset, t: DominoTableau) -> None:
         seen |= sm
     if seen != (1 << p.n) - 1:
         raise MalformedPartition("parts do not cover all elements")
-
-
-def make_tableau(
-    p: Poset, pairs, singleton: int | None = None
-) -> DominoTableau:
-    """Validated construction; rejects non-maximal singletons loudly."""
-    t = DominoTableau(tuple(sorted(tuple(pr) for pr in pairs)), singleton)
-    _check_partition(p, t)
-    if t.singleton is not None and p.up[t.singleton]:
-        raise MalformedPartition(f"singleton {t.singleton} is not maximal")
-    return t
 
 
 def _parts(t: DominoTableau) -> list[tuple[int, ...]]:

@@ -14,7 +14,8 @@ class InvalidExtension(PosetsiError):
 
 
 class MalformedPartition(PosetsiError):
-    """Partition is not cover 2-chains plus at most one maximal singleton."""
+    """Partition is not cover 2-chains plus at most one singleton, all in
+    range and disjoint. A singleton that is not maximal is NotATableau."""
 
 
 class NotATableau(PosetsiError):

@@ -4,23 +4,20 @@ E_n counts the linear extensions of the n-element zigzag poset (OEIS
 A000111 shifted to start at E_1 = 1). The table is computed by the
 boustrophedon recurrence with exact integers. The prime sweep streams
 that exact table once and drops each prime as soon as it divides a term;
-a modular variant backs the congruence check and the prime-avoiding
-search. For odd primes q and n > q the congruence
-E_n = E_q * E_{n-(q-1)} (mod q) reduces divisibility questions to the
-first q values; a guard window up to 3q is checked as well because the
-congruence fails for q = 2 (Euler parities alternate from n = 3 on).
+a modular variant backs the congruence check. For odd primes q and
+n > q the congruence E_n = E_q * E_{n-(q-1)} (mod q) reduces
+divisibility questions to the first q values; a guard window up to 3q
+is checked as well because the congruence fails for q = 2 (Euler
+parities alternate from n = 3 on).
 """
 
-from .errors import ResourceLimit, VerificationError
-from .linext import count_mod
-from .poset import Poset, zigzag
+from .errors import ResourceLimit
 
 __all__ = [
     "euler_numbers",
     "euler_numbers_mod",
     "check_congruence",
     "primes_never_dividing",
-    "prime_avoiding_poset",
 ]
 
 
@@ -81,31 +78,3 @@ def primes_never_dividing(bound: int) -> list[int]:
     for n, e in enumerate(_boustrophedon(3 * max(alive, default=0)), 1):
         alive = [q for q in alive if 3 * q < n or e % q]
     return alive
-
-
-def prime_avoiding_poset(
-    primes: set[int], min_size: int = 2, max_size: int = 512
-) -> Poset:
-    """Smallest zigzag with at least ``min_size`` (> 1) elements whose
-    extension count is 1 mod q for every q in ``primes``.
-
-    The Euler table mod q supplies candidates; the returned poset is
-    re-verified with the independent counting DP, never trusted from the
-    table alone. The DP runs over fence down-sets, so very large results
-    hit the down-set cap.
-    """
-    qs = sorted(primes)
-    if any(q < 2 for q in qs):
-        raise ValueError("moduli must be at least 2")
-    min_size = max(min_size, 2)
-    tables = {q: euler_numbers_mod(max_size, q) for q in qs}
-    for n in range(min_size, max_size + 1):
-        if all(tables[q][n - 1] == 1 % q for q in qs):
-            p = zigzag(n)
-            for q in qs:
-                if count_mod(p, q) != 1 % q:
-                    raise VerificationError(
-                        f"euler table and counting DP disagree at n={n}, q={q}"
-                    )
-            return p
-    raise ResourceLimit(f"no qualifying zigzag with at most {max_size} elements")

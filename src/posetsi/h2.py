@@ -191,14 +191,6 @@ def count_f_q(m: int, q: int) -> int:
     )
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def odd_e_bounds(n: int) -> dict:
     """Check every odd-e height-<=2 class on 2n vertices against
     (n!)^2 <= e <= n!(2n-1)!! and check that the class is the lift of the
@@ -206,7 +198,7 @@ def odd_e_bounds(n: int) -> dict:
     if n < 0 or 2 * n > 8:
         raise ValueError("supported range is 2n <= 8")
     lower = math.factorial(n) ** 2
-    upper = math.factorial(n) * _double_factorial(2 * n - 1)
+    upper = math.factorial(n) * math.prod(range(1, 2 * n, 2))
     values = []
     for p in enumerate_posets(2 * n, max_height=2):
         e = count_extensions(p)

@@ -1,4 +1,5 @@
-"""Line-oriented text formats: posets, tableaux, relations.
+"""Line-oriented text formats: posets, relations, and tableaux (written
+only; a tableau is never read back).
 
 Poset files look like::
 
@@ -12,7 +13,7 @@ transitive closure is applied on read. Writers emit cover relations only,
 sorted lexicographically.
 """
 
-from .domino import DominoTableau, make_tableau
+from .domino import DominoTableau
 from .errors import FormatError
 from .poset import Poset, from_covers
 
@@ -20,7 +21,6 @@ __all__ = [
     "read_poset",
     "write_poset",
     "read_relation_pairs",
-    "read_tableau",
     "write_tableau",
     "parse_family",
 ]
@@ -98,22 +98,6 @@ def write_tableau(t: DominoTableau) -> str:
     if t.singleton is not None:
         lines.append(f"single {t.singleton}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_tableau(p: Poset, text: str) -> DominoTableau:
-    pairs = []
-    singleton = None
-    for lineno, tok in _content_lines(text):
-        args = _ints(lineno, tok[1:])
-        if tok[0] == "pair" and len(args) == 2:
-            pairs.append(tuple(args))
-        elif tok[0] == "single" and len(args) == 1:
-            if singleton is not None:
-                raise FormatError(f"line {lineno}: duplicate singleton")
-            singleton = args[0]
-        else:
-            raise FormatError(f"line {lineno}: expected 'pair b t' or 'single v'")
-    return make_tableau(p, pairs, singleton)
 
 
 def parse_family(spec: str) -> Poset:

@@ -283,6 +283,12 @@ def test_euler_table(capsys):
     assert [int(x) for x in out.split()] == [1, 1, 2, 5, 16, 61]
 
 
+def test_euler_table_json(capsys):
+    code, out, _ = run(capsys, "euler", "--max-n", "4", "--json")
+    assert code == 0
+    assert json.loads(out) == {"max_n": 4, "values": ["1", "1", "2", "5"]}
+
+
 def test_euler_primes(capsys):
     code, out, _ = run(capsys, "euler", "--primes", "--bound", "250")
     assert code == 0

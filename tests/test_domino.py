@@ -24,7 +24,6 @@ from posetsi import (
     is_isomorphic,
     is_q_adapted,
     is_tableau,
-    make_tableau,
     phi,
     quotient,
     sign,
@@ -173,7 +172,7 @@ def test_tableau_sign_matches_validated_sign():
 
 def test_matching_that_is_not_a_tableau(no_tableau_poset):
     # matching (a,d)(b,e)(c,f): neither pair can be scheduled first
-    t = make_tableau(no_tableau_poset, [(0, 3), (1, 4), (2, 5)])
+    t = DominoTableau(((0, 3), (1, 4), (2, 5)), None)
     assert not is_tableau(no_tableau_poset, t)
     with pytest.raises(NotATableau):
         quotient(no_tableau_poset, t)
@@ -275,17 +274,18 @@ def test_malformed_partitions():
         is_tableau(p, DominoTableau(((0, 1),), None))  # does not cover
     with pytest.raises(MalformedPartition):
         is_tableau(p, DominoTableau(((0, 1), (2, 1)), None))  # overlap
-    with pytest.raises(MalformedPartition):
-        make_tableau(chain(3), [(0, 1)], 5)  # out-of-range singleton
+    for pair in ((5, 1), (-1, 1)):  # out of range
+        with pytest.raises(MalformedPartition, match="not a cover pair"):
+            is_tableau(p, DominoTableau((pair,), None))
+    with pytest.raises(MalformedPartition, match="singleton 5 is out of range"):
+        is_tableau(p, DominoTableau(((0, 1),), 5))
 
 
 def test_non_maximal_singleton():
     p = chain(3)
-    # construction rejects it loudly
-    with pytest.raises(MalformedPartition):
-        make_tableau(p, [(1, 2)], 0)
-    # the raw predicate reports it as not a tableau
     assert not is_tableau(p, DominoTableau(((1, 2),), 0))
+    with pytest.raises(NotATableau, match="singleton 0 is not maximal"):
+        quotient(p, DominoTableau(((1, 2),), 0))
 
 
 def test_singleton_tableaux_odd_count():

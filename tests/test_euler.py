@@ -4,10 +4,8 @@ from posetsi import (
     ResourceLimit,
     check_congruence,
     count_extensions,
-    count_mod,
     euler_numbers,
     euler_numbers_mod,
-    prime_avoiding_poset,
     primes_never_dividing,
     zigzag,
 )
@@ -92,22 +90,3 @@ def test_known_divisible_primes_excluded():
 def test_bound_guard():
     with pytest.raises(ResourceLimit):
         primes_never_dividing(10**5)
-
-
-def test_prime_avoiding_poset_basic():
-    for primes in ({2}, {3}, {2, 3}, {2, 3, 5}):
-        p = prime_avoiding_poset(primes)
-        assert p.n >= 2
-        for q in primes:
-            assert count_mod(p, q) == 1
-
-
-def test_prime_avoiding_poset_min_size():
-    p = prime_avoiding_poset({3}, min_size=3)
-    assert p.n == 5  # E_5 = 16 = 1 mod 3
-    assert count_mod(p, 3) == 1
-
-
-def test_prime_avoiding_poset_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        prime_avoiding_poset({1})
