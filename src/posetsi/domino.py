@@ -6,9 +6,10 @@ singleton (only when n is odd, and it must be a maximal element), such
 that the parts admit an ordering whose prefixes are all down-sets -
 equivalently, the induced quotient relation is acyclic. ``quotient`` is
 the one place that decides this: a partition is a tableau exactly when
-``from_covers`` accepts its quotient relation. The quotient route builds
-each cover matching's quotient once, and ``_term`` reads both the sign
-and the adapted count of the tableau from it, with no label array.
+``from_covers`` accepts its quotient relation. The quotient route counts
+the cover matchings up to ``MATCHING_CAP`` before it builds each one's
+quotient once, and ``_term`` reads the sign of a tableau from its pairs
+and its adapted count from the quotient, with no label array.
 """
 
 from typing import Iterator, NamedTuple
@@ -117,18 +118,27 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
         yield DominoTableau((), None)
         return
 
+    hasse = list(p.cover_up)  # Hasse neighbours of each element
+    for x, y in p.covers():
+        hasse[y] |= 1 << x
+
     def steps(uncovered: int, singleton: int | None):
         # (part, elements left uncovered, singleton) per way to cover the
         # lowest uncovered element; the part is a pair, or None for the
-        # singleton
+        # singleton. A pair is skipped when it strands a neighbour: one
+        # with no uncovered neighbour left that cannot be the singleton.
         u = (uncovered & -uncovered).bit_length() - 1
         rest = uncovered ^ (1 << u)
-        for w in iter_bits(p.cover_up[u] & rest):
-            yield (u, w), rest ^ (1 << w), singleton
-        for w in iter_bits(p.down[u] & rest):
-            if p.cover_up[w] >> u & 1:
-                yield (w, u), rest ^ (1 << w), singleton
-        if singleton is None and n % 2 == 1 and not p.up[u]:
+        above = p.cover_up[u] & rest
+        spare = singleton is None and n % 2 == 1
+        for w in [*iter_bits(above), *iter_bits((hasse[u] & rest) ^ above)]:
+            left = rest ^ (1 << w)
+            if all(
+                hasse[y] & left or (spare and not p.up[y])
+                for y in iter_bits((hasse[u] | hasse[w]) & left)
+            ):
+                yield ((u, w) if above >> w & 1 else (w, u)), left, singleton
+        if spare and not p.up[u]:
             yield None, rest, u
 
     produced = 0
@@ -154,7 +164,11 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
 
 
 def _tableaux(p: Poset) -> Iterator[tuple[DominoTableau, Poset]]:
-    """Each cover matching that is a tableau, with its quotient."""
+    """Each cover matching that is a tableau, with its quotient. The
+    matchings are walked once first, so that ``MATCHING_CAP`` fires before
+    any quotient is built."""
+    for _ in _cover_matchings(p):
+        pass
     for t in _cover_matchings(p):
         try:
             q = quotient(p, t)
@@ -168,27 +182,24 @@ def enumerate_tableaux(p: Poset) -> list[DominoTableau]:
     return sorted(t for t, _ in _tableaux(p))
 
 
-def _order(t: DominoTableau, q: Poset) -> list[int]:
-    # The first extension in ascending element order schedules the
-    # singleton part (largest index, maximal) last.
-    parts = _parts(t)
-    return [x for v in next(_extension_orders(q)) for x in parts[v]]
-
-
 def _term(t: DominoTableau, q: Poset) -> tuple[int, int]:
     """Sign and adapted count (see ``adapted_count``) of tableau t with
-    quotient q. The scheduled element order is a linear extension by
-    construction, so its parity is the sign, with no labels to validate."""
-    sgn = _parity(_order(t, q))
+    quotient q. An adapted extension lists the parts in a schedule, each
+    pair bottom first; moving a pair past another part is an even
+    permutation, so the parts in canonical order have the same parity."""
+    sgn = _parity([x for part in _parts(t) for x in part])
     if t.singleton is not None:
         q = q.subposet(range(q.n - 1))
     return sgn, count_extensions(q)
 
 
 def adapted_extension(p: Poset, t: DominoTableau) -> tuple[int, ...]:
-    """A linear extension assigning labels 2i-1, 2i to the i-th scheduled
-    part (singleton last, receiving label n)."""
-    return _labels_of_order(_order(t, quotient(p, t)))
+    """A linear extension assigning labels 2i-1, 2i to the i-th part in
+    the quotient's first extension in ascending order, which schedules
+    the singleton part (largest index, maximal) last, with label n."""
+    parts = _parts(t)
+    order = next(_extension_orders(quotient(p, t)))
+    return _labels_of_order([x for v in order for x in parts[v]])
 
 
 def tableau_sign(p: Poset, t: DominoTableau) -> int:

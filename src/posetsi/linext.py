@@ -10,16 +10,19 @@ One walk over the lattice of down-sets, ``_layers``, serves every exact
 count: e(P), or e(P) and the signed sum together in a single pass, e(P)
 mod q and the list of down-sets that poset generation attaches new
 elements over. Each stored down-set keeps one int that packs its count
-(and signed sum) above its addable set, the minimal elements of its
-complement, so the walk steps only over elements that can be added and
-each lattice edge costs one dict update. It stores one popcount layer at
-a time and raises :class:`ResourceLimit` the moment the number of stored
-down-sets would pass the cap, before the rest of the layer is built.
-Enumeration (``_extension_orders``) is a separate depth-first walk on an
-explicit stack, so that it can stop after the first k extensions. It is
-also the independent brute route: ``_enumerated_signed`` streams it to
-count and sign every extension, and the CLI and the acceptance suite
-check the walk's answers against it.
+(its even and odd ways, when signed) above its addable set, the minimal
+elements of its complement, so the walk steps only over elements that
+can be added and each lattice edge costs one dict update. Every sign
+follows one rule: an element placed after j larger ones adds j
+inversions, per step in the walk and per sequence in ``_parity``. The
+walk stores one popcount layer at a time and raises
+:class:`ResourceLimit` the moment the number of stored down-sets would
+pass the cap, before the rest of the layer is built. Enumeration
+(``_extension_orders``) is a separate depth-first walk on an explicit
+stack, so that it can stop after the first k extensions. It is also the
+independent brute route: ``_enumerated_signed`` streams it to count and
+sign every extension, and the CLI and the acceptance suite check the
+walk's answers against it.
 """
 
 from math import factorial
@@ -66,13 +69,13 @@ def _validate(p: Poset, labels: tuple[int, ...]) -> None:
 
 
 def _parity(seq) -> int:
-    """Inversion parity of distinct integers as +1 or -1. A label array
-    and its element order are inverse permutations, so they share it."""
-    inv = 0
-    for i, x in enumerate(seq):
-        for y in seq[i + 1 :]:
-            if x > y:
-                inv += 1
+    """Inversion parity of distinct nonnegative integers as +1 or -1: each
+    one adds an inversion per larger one seen before it. A label array and
+    its element order are inverse permutations, so they share it."""
+    seen = inv = 0
+    for x in seq:
+        inv += (seen >> x).bit_count()
+        seen |= 1 << x
     return -1 if inv & 1 else 1
 
 
@@ -82,20 +85,9 @@ def sign(p: Poset, labels: tuple[int, ...]) -> int:
     return _parity(labels)
 
 
-def _unpack(value: int, n: int, s: int) -> tuple[int, int]:
-    """(count, signed sum) of a stored down-set value whose signed sum
-    takes ``s`` bits above the ``n`` addable bits; with s = 0 the signed
-    sum reads 0."""
-    value >>= n
-    r = value & ((1 << s) - 1)
-    if s and r >> (s - 1):
-        r -= 1 << s
-    return (value - r) >> s, r
-
-
-def _shift(k: int, signed: bool) -> int:
-    """Bits for the signed sum in layer k: |signed| <= count <= k!."""
-    return factorial(k).bit_length() + 1 if signed else 0
+def _width(k: int) -> int:
+    """Bits for each of the even and odd ways in layer k: each is <= k!."""
+    return factorial(k).bit_length()
 
 
 def _layers(
@@ -106,39 +98,39 @@ def _layers(
     Yields layer k as ``{down-set mask: value}`` for k = 0..n. The count
     of a down-set is the number of ways to build it one minimal element
     at a time, so the last layer's count is e(P). Appending x gives it
-    the next label, which creates one inversion per placed element with a
-    larger index; with ``signed`` each way is also weighted by
-    (-1)**popcount(down-set & indices-above-x), and that signed sum rides
-    along in the same pass. A value is one int: the low n bits are the
-    down-set's addable set (the minimal elements of its complement), and
-    above them sits the count, or with ``signed`` the number
-    ``(count << s) + signed`` with s = ``_shift(k, True)``; ``_unpack``
-    reads it. Only addable elements are stepped over, so each lattice
-    edge costs one dict update. A child's addable set is built once, when
-    the child is first stored: the parent's set minus x, plus each upper
-    cover of x whose elements below are now all placed. Every distinct
-    down-set, the empty one included, counts toward ``downset_cap`` as it
-    is stored.
+    the next label, which adds one inversion per placed element with a
+    larger index. A value is one int: the low n bits are the down-set's
+    addable set (the minimal elements of its complement), and above them
+    sits the count. With ``signed`` the count is split in two fields of
+    ``_width(k)`` bits, the even ways above the odd ones, and a step that
+    adds an odd number of inversions swaps them, so the signed sum rides
+    along in the same pass. Only addable elements are stepped over, so
+    each lattice edge costs one dict update. A child's addable set is
+    built once, when the child is first stored: the parent's set minus
+    x, plus each upper cover of x whose elements below are now all
+    placed. Every distinct down-set, the empty one included, counts
+    toward ``downset_cap`` as it is stored.
     """
     n = p.n
     full = (1 << n) - 1
     down = p.down
     covers = [[(1 << y, down[y]) for y in iter_bits(p.cover_up[x])] for x in range(n)]
-    s = _shift(0, signed)
+    w = _width(0)
     minimal = sum(1 << x for x in range(n) if not down[x])
-    cur = {0: ((1 << s) + signed) << n | minimal}  # count 1; signed sum 1 if signed
+    cur = {0: (1 << w if signed else 1) << n | minimal}  # one even way
     stored = 1
     yield cur
     for k in range(1, n + 1):
-        prev, s = s, _shift(k, signed)
+        prev, w = w, _width(k)
         nxt: dict[int, int] = {}
         get = nxt.get
         for mask, val in cur.items():
             addable = val & full
             if signed:
-                count, sgn = _unpack(val, n, prev)
-                plus = ((count << s) + sgn) << n
-                minus = ((count << s) - sgn) << n
+                ways = val >> n
+                even, odd = ways >> prev, ways & ((1 << prev) - 1)
+                plus = (even << w | odd) << n
+                minus = (odd << w | even) << n
             else:
                 plus = val ^ addable
             free = addable
@@ -147,8 +139,8 @@ def _layers(
                 free ^= low
                 new = mask | low
                 # placed elements above x: mask >> (x + 1)
-                odd = signed and (mask >> low.bit_length()).bit_count() & 1
-                inc = minus if odd else plus
+                odd_step = signed and (mask >> low.bit_length()).bit_count() & 1
+                inc = minus if odd_step else plus
                 old = get(new)
                 if old is not None:
                     nxt[new] = old + inc
@@ -173,7 +165,12 @@ def _full_count(p: Poset, downset_cap: int, signed: bool = False) -> tuple[int, 
     sum is 0 unless ``signed``."""
     for layer in _layers(p, downset_cap, signed):
         pass
-    return _unpack(layer[(1 << p.n) - 1], p.n, _shift(p.n, signed))
+    ways = layer[(1 << p.n) - 1] >> p.n
+    if not signed:
+        return ways, 0
+    w = _width(p.n)
+    even, odd = ways >> w, ways & ((1 << w) - 1)
+    return even + odd, even - odd
 
 
 def count_extensions(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:

@@ -1,4 +1,5 @@
 from itertools import permutations
+import random
 
 import pytest
 
@@ -33,6 +34,7 @@ from posetsi import (
     zigzag,
 )
 from posetsi import domino, linext
+from posetsi.h2 import build_lift, good_base
 from posetsi.poset import iter_bits
 
 
@@ -170,6 +172,18 @@ def test_tableau_sign_matches_validated_sign():
                 assert tableau_sign(p, t) == sign(p, adapted_extension(p, t))
 
 
+def test_tableau_sign_is_the_parity_of_its_parts_in_any_order():
+    # moving a pair past another part is an even permutation
+    rng = random.Random(13)
+    for n in range(8):
+        for p in enumerate_posets(n):
+            for t in enumerate_tableaux(p):
+                parts = domino._parts(t)
+                rng.shuffle(parts)
+                order = [x for part in parts for x in part]
+                assert tableau_sign(p, t) == linext._parity(order)
+
+
 def test_matching_that_is_not_a_tableau(no_tableau_poset):
     # matching (a,d)(b,e)(c,f): neither pair can be scheduled first
     t = DominoTableau(((0, 3), (1, 4), (2, 5)), None)
@@ -240,6 +254,40 @@ def test_matching_cap(monkeypatch, eight_cycle):
     monkeypatch.setattr(domino, "MATCHING_CAP", 1)
     with pytest.raises(ResourceLimit, match="matching count exceeded cap 1"):
         si_via_quotients(eight_cycle)
+
+
+def test_matching_cap_fires_before_any_quotient(monkeypatch, eight_cycle):
+    calls = 0
+    original = domino.quotient
+
+    def counting(p, t):
+        nonlocal calls
+        calls += 1
+        return original(p, t)
+
+    monkeypatch.setattr(domino, "quotient", counting)
+    monkeypatch.setattr(domino, "MATCHING_CAP", 1)
+    with pytest.raises(ResourceLimit, match="matching count exceeded cap 1"):
+        si_via_quotients(eight_cycle)
+    assert calls == 0
+
+
+def test_cover_matchings_end_dead_branches_early(monkeypatch):
+    # on a lift the lowest bottom can pair with many tops, and all but one
+    # choice strand an element; a walk that follows those branches to
+    # their end makes 90,300 calls here
+    p = build_lift(chain(300), good_base(chain(300)))
+    calls = 0
+
+    def counting(mask):
+        nonlocal calls
+        calls += 1
+        return iter_bits(mask)
+
+    monkeypatch.setattr(domino, "iter_bits", counting)
+    [t] = domino._cover_matchings(p)
+    assert t.pairs == tuple((x, 300 + x) for x in range(300))
+    assert calls <= 10 * 300
 
 
 def test_eight_cycle_quotients_not_isomorphic(eight_cycle):

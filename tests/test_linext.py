@@ -171,24 +171,30 @@ def test_signed_count_walks_once(monkeypatch):
 
 
 def test_stored_values_match_brute_force_on_each_downset():
-    # every stored down-set D carries the number of ways to build it, the
-    # signed sum of those ways (elements in index order, so the sign is
-    # that of the induced labelling) and the minimal elements outside D;
-    # class representatives are naturally labelled (a < b in P implies
-    # a < b as integers), so the reversed labelling is checked too
+    # every stored down-set D carries the number of ways to build it, with
+    # the signed walk splitting them into even and odd ways (elements in
+    # index order, so the sign is that of the induced labelling), and the
+    # minimal elements outside D; class representatives are naturally
+    # labelled (a < b in P implies a < b as integers), so the reversed
+    # labelling is checked too
     reps = [p for n in range(7) for p in enumerate_posets(n)]
     flipped = [p.relabel(range(p.n - 1, -1, -1)) for p in reps]
     for p, signed in product(reps + flipped, (False, True)):
         n, full = p.n, (1 << p.n) - 1
         for k, layer in enumerate(_layers(p, signed=signed)):
-            s = linext._shift(k, signed)
+            w = linext._width(k)
             for mask, value in layer.items():
                 elems = [x for x in range(n) if mask >> x & 1]
                 pos = {x: i for i, x in enumerate(elems)}
                 rels = [(pos[a], pos[b]) for a, b in p.relations() if b in pos]
                 arrays = brute_label_arrays(k, rels)
-                want = sum(map(inversion_sign, arrays)) if signed else 0
-                assert linext._unpack(value, n, s) == (len(arrays), want)
+                ways = value >> n
+                if signed:
+                    even, odd = ways >> w, ways & ((1 << w) - 1)
+                    assert even + odd == len(arrays)
+                    assert even - odd == sum(map(inversion_sign, arrays))
+                else:
+                    assert ways == len(arrays)
                 addable = [
                     x
                     for x in range(n)
@@ -312,6 +318,14 @@ def test_parity_of_permutation_equals_parity_of_inverse():
         assert linext._parity(perm) == linext._parity(inverse)
         labels = tuple(x + 1 for x in perm)
         assert linext._parity(perm) == sign(antichain(6), labels)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))), st.booleans())
+def test_parity_matches_pairwise_inversions(perm, as_labels):
+    # element orders over 0..n-1, or label arrays over 1..n
+    seq = [x + 1 for x in perm] if as_labels else perm
+    assert linext._parity(seq) == inversion_sign(seq)
 
 
 def test_sign_validates():
