@@ -250,26 +250,31 @@ def criterion_9() -> CriterionResult:
     bad = 0
     overshoot = 0
     checked = 0
+    walked = 0
     try:
         for n in range(9):
             for p in enumerate_posets(n, max_height=2):
                 si = signed_count(p).imbalance
-                for k in range(9):
+                for k in sorted({*range(9), si, si + 1, 20 * si}):
                     checked += 1
                     pulled = 0
                     if h2.h2sb_decide(p, k) != (si >= k):
                         bad += 1
                     if pulled > k:
                         overshoot += 1
+                    # si > 0 makes q a lift whose base has e >= 1
+                    # extensions, so no pull means the walk decided
+                    walked += si > 0 and k > 0 and pulled == 0
     finally:
         linext._extension_orders = original
     return CriterionResult(
         9,
-        "height-2 decider matches brute si >= k for n <= 8, k <= 8, "
-        "enumerating at most k quotient extensions",
+        "height-2 decider matches the signed DP's si >= k for n <= 8 and k "
+        "in 0..8, si, si + 1 and 20 si, enumerating at most k quotient extensions",
         bad == 0 and overshoot == 0,
         [
             f"{checked} (poset, k) decisions, {bad} disagreements",
+            f"decided by the down-set walk with no extension pulled: {walked}",
             f"calls enumerating more than their k: {overshoot}",
         ],
     )

@@ -143,8 +143,9 @@ def h2sb_decide(q: Poset, k: int) -> bool:
     """Decide si(q) >= k for height-<=2 q without full enumeration.
 
     ``decompose`` either certifies sign balance (si = 0) or returns the
-    base B of the lift, whose e(B) is the sign imbalance and is compared
-    against k with an early-exit enumeration.
+    base B of the lift, whose e(B) is the sign imbalance. ``at_least_k``
+    compares e(B) with k: by the exact down-set walk when B has at most
+    k // (|B| + 1) down-sets, else by enumerating at most k extensions.
     """
     if k < 0:
         raise ValueError("threshold must be nonnegative")

@@ -19,10 +19,11 @@ walk stores one popcount layer at a time and raises
 :class:`ResourceLimit` the moment the number of stored down-sets would
 pass the cap, before the rest of the layer is built. Enumeration
 (``_extension_orders``) is a separate depth-first walk on an explicit
-stack, so that it can stop after the first k extensions. It is also the
-independent brute route: ``_enumerated_signed`` streams it to count and
-sign every extension, and the CLI and the acceptance suite check the
-walk's answers against it.
+stack that stores no down-sets. ``at_least_k`` falls back to it, and
+stops after the first k extensions, when the lattice is too large for a
+walk of fewer than k steps. It is also the independent brute route:
+``_enumerated_signed`` streams it to count and sign every extension, and
+the CLI and the acceptance suite check the walk's answers against it.
 """
 
 from math import factorial
@@ -255,9 +256,24 @@ def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> Iterator[tuple[int, .
 
 
 def at_least_k(p: Poset, k: int) -> bool:
-    """True iff e(P) >= k, enumerating at most k extensions."""
+    """True iff e(P) >= k, for at most about twice the work of
+    enumerating k extensions.
+
+    The exact down-set walk goes first, capped at k // (n + 1) stored
+    down-sets: each one costs its storing plus at most n steps over its
+    addable elements, so the capped walk takes at most k steps, no more
+    than enumerating k extensions. The cap is clamped to ``DOWNSET_CAP``
+    to bound memory. A lattice that outgrows it falls back to
+    enumeration, which stops after the first k extensions.
+    """
     if k <= 0:
         return True
+    cap = min(k // (p.n + 1), DOWNSET_CAP)
+    if cap:
+        try:
+            return count_extensions(p, cap) >= k
+        except ResourceLimit:
+            pass
     hits = 0
     for _ in _extension_orders(p):
         hits += 1

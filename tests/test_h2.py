@@ -271,12 +271,22 @@ def test_h2sb_pinned_values(six_vertex_odd, no_tableau_poset):
 
 
 def test_h2sb_large_threshold_via_lift():
-    # a twelve-element lift of the six-element fence has si = 61; the
-    # decider resolves k = 61 vs 62 by enumerating quotient extensions
-    # with early exit, far beyond anything brute force would check
+    # a twelve-element lift of the six-element fence has si = 61; its
+    # base has 21 down-sets, more than 61 // 7, so the decider resolves
+    # k = 61 vs 62 by enumerating at most k extensions of the base, far
+    # beyond anything brute force would check
     lifted = build_lift(zigzag(6), good_base(zigzag(6)))
     assert h2sb_decide(lifted, 61)
     assert not h2sb_decide(lifted, 62)
+
+
+def test_h2sb_decides_a_large_lift_by_the_walk(pulls):
+    # the base has 256 down-sets, at most 40,320 // 9, so the down-set
+    # walk decides and no extension is enumerated
+    lifted = build_lift(antichain(8), good_base(antichain(8)))
+    assert h2sb_decide(lifted, 40320)
+    assert not h2sb_decide(lifted, 40321)
+    assert pulls.count == 0
 
 
 def test_h2sb_matches_brute():

@@ -286,22 +286,52 @@ def test_at_least_k_near_chain():
     assert at_least_k(p, 0)
 
 
-def test_at_least_k_enumerates_at_most_k(monkeypatch):
-    p = antichain(6)  # 720 extensions
-    original = linext._extension_orders
-    pulled = 0
-
-    def counting(q):
-        nonlocal pulled
-        for order in original(q):
-            pulled += 1
-            yield order
-
-    monkeypatch.setattr(linext, "_extension_orders", counting)
-    for k, want in ((1, True), (5, True), (720, True), (721, False)):
-        pulled = 0
+def test_at_least_k_enumerates_at_most_k(pulls):
+    p = antichain(6)  # 64 down-sets, 720 extensions
+    # below k = 7 * 64 the walk's cap k // 7 is under the 64 down-sets,
+    # so at_least_k enumerates; from there on the walk answers alone
+    for k, want, pulled in (
+        (1, True, 1),
+        (5, True, 5),
+        (447, True, 447),
+        (448, True, 0),
+        (720, True, 0),
+        (721, False, 0),
+    ):
+        pulls.count = 0
         assert at_least_k(p, k) == want
-        assert pulled == min(k, 720)
+        assert pulls.count == pulled
+
+
+def test_at_least_k_matches_the_walk_count(pulls, monkeypatch):
+    walk = linext.count_extensions
+    caps = []
+
+    def recording(p, downset_cap):
+        caps.append(downset_cap)
+        return walk(p, downset_cap)
+
+    monkeypatch.setattr(linext, "count_extensions", recording)
+    walked = enumerated = 0
+    for n in range(7):
+        for p in enumerate_posets(n):
+            e = walk(p)
+            for k in (*range(10), e - 1, e, e + 1, 2 * e, 20 * e):
+                pulls.count = 0
+                caps.clear()
+                assert at_least_k(p, k) == (e >= k)
+                assert pulls.count <= k
+                assert all(cap <= k // (n + 1) for cap in caps)
+                # e >= 1, so an enumeration pulls at least one extension
+                walked += k > 0 and pulls.count == 0
+                enumerated += pulls.count > 0
+    assert walked and enumerated
+
+
+def test_at_least_k_clamps_the_walk_to_the_downset_cap(pulls, monkeypatch):
+    monkeypatch.setattr(linext, "DOWNSET_CAP", 10)
+    assert not at_least_k(antichain(6), 10**9)
+    assert pulls.count == 720
 
 
 def test_sign_identity_and_transposition():
