@@ -1,11 +1,20 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from posetsi import (
+    Poset,
     VerificationError,
+    antichain,
+    canonical_form,
+    chain,
     enumerate_posets,
+    from_covers,
     is_isomorphic,
     poset_class_count,
     stats,
+    zigzag,
 )
 from posetsi import generate
 from test_canon import brute_classes
@@ -85,3 +94,99 @@ def test_height_bounds_share_two_cached_levels():
         assert generate._classes.cache_info().currsize == 2 * 6
     finally:
         generate._classes.cache_clear()
+
+
+def test_height2_class_counts_table_is_checked(monkeypatch):
+    monkeypatch.setattr(generate, "H2_CLASS_COUNTS", (1, 1, 2, 5))
+    generate._classes.cache_clear()
+    try:
+        assert poset_class_count(2, max_height=2) == 2
+        with pytest.raises(
+            VerificationError, match="4 height-2 classes on 3 elements, expected 5"
+        ):
+            poset_class_count(3, max_height=2)
+        assert poset_class_count(3) == 5
+    finally:
+        generate._classes.cache_clear()
+
+
+def all_children(p, height2):
+    """p with a new maximal element over each of its down-sets, or with
+    ``height2`` over each set of its minimal elements: no pruning."""
+    if height2:
+        mins = [i for i in range(p.n) if not p.down[i]]
+        masks = [
+            sum(1 << i for i in s)
+            for r in range(len(mins) + 1)
+            for s in combinations(mins, r)
+        ]
+    else:
+        masks = [
+            m
+            for m in range(1 << p.n)
+            if all(not p.down[i] & ~m for i in range(p.n) if m >> i & 1)
+        ]
+    return [p.add_maximal(m) for m in masks]
+
+
+def reference_forms(nmax, height2):
+    """Canonical forms per size, grown from every child of every class
+    with one global seen-set per size."""
+    level = [Poset(0, ())]
+    forms = [{canonical_form(level[0])}]
+    for _ in range(nmax):
+        seen = {}
+        for rep in level:
+            for child in all_children(rep, height2):
+                seen.setdefault(canonical_form(child), child)
+        level = list(seen.values())
+        forms.append(set(seen))
+    return forms
+
+
+@pytest.mark.parametrize("height2, nmax", [(False, 7), (True, 8)])
+def test_pruned_generation_matches_unpruned_reference(height2, nmax):
+    want = reference_forms(nmax, height2)
+    for n in range(nmax + 1):
+        got = [canonical_form(p) for p in generate._classes(n, height2)]
+        assert len(got) == len(set(got))
+        assert set(got) == want[n]
+
+
+def deletion_key(q, x):
+    lower = [y for y in range(q.n) if q.cover_up[y] >> x & 1]
+    return (
+        q.down[x].bit_count(),
+        len(lower),
+        sorted(q.down[y].bit_count() for y in lower),
+    )
+
+
+def keyed_child_forms(p, height2):
+    """Forms of the children whose new element has a largest deletion key
+    among the child's maximal elements."""
+    out = set()
+    for q in all_children(p, height2):
+        keys = [deletion_key(q, x) for x in range(q.n) if not q.up[x]]
+        if deletion_key(q, p.n) == max(keys):
+            out.add(canonical_form(q))
+    return out
+
+
+def test_pruned_step_is_sound_under_relabelling():
+    # the twin rule must lose no class that canonical deletion keeps, on
+    # any labelling of the parent
+    rng = random.Random(15)
+    k33 = from_covers(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    parents = [antichain(6), k33, chain(5), zigzag(6)]
+    parents += [p for n in range(6) for p in enumerate_posets(n)]
+    parents += list(enumerate_posets(6, max_height=2))
+    for p in parents:
+        for height2 in (False, True) if stats(p).height <= 2 else (False,):
+            want = keyed_child_forms(p, height2)
+            for _ in range(3):
+                perm = list(range(p.n))
+                rng.shuffle(perm)
+                q = p.relabel(perm)
+                got = {canonical_form(c) for c in generate._children(q, height2)}
+                assert got == want

@@ -398,6 +398,7 @@ def test_spectrum_small(six_vertex_odd):
     for value, poset in rep["witnesses"].items():
         assert count_extensions(poset) == value
         assert stats(poset).height <= 2
+        assert poset.n <= rep["max_vertices"]
     assert all(v not in rep["values"] for v in rep["gaps"])
 
 
