@@ -9,11 +9,9 @@ from .canon import canonical_form, is_isomorphic
 from .domino import (
     DominoTableau,
     adapted_count,
-    adapted_extension,
     enumerate_tableaux,
     exists_q_adapted,
     is_q_adapted,
-    is_tableau,
     quotient,
     si_via_quotients,
     tableau_sign,
@@ -55,6 +53,7 @@ from .linext import (
     count_extensions,
     count_mod,
     enumerate_extensions,
+    forest_count,
     phi,
     ruskey_criterion,
     sign,

@@ -22,6 +22,7 @@ from .linext import (
     count_extensions,
     count_mod,
     enumerate_extensions,
+    forest_count,
     phi,
     sign,
     signed_count,
@@ -384,6 +385,16 @@ def criterion_13() -> CriterionResult:
     )
     details.append(f"table vs fence counts (n <= 12): {'PASS' if table_ok else 'FAIL'}")
 
+    long_table = euler_numbers(500)
+    forest_ok = all(
+        long_table[n - 1] == forest_count(zigzag(n)).total
+        for n in [*range(1, 101), 500]
+    )
+    details.append(
+        f"table vs forest-route fence counts (n <= 100 and n = 500): "
+        f"{'PASS' if forest_ok else 'FAIL'}"
+    )
+
     odd_ok = all(
         check_congruence(n, q)
         for q in (3, 5, 7, 11)
@@ -413,9 +424,9 @@ def criterion_13() -> CriterionResult:
     return CriterionResult(
         13,
         "Euler suite: table identity, congruence grid, never-dividing primes",
-        table_ok and odd_ok and q2_ok and primes_ok,
+        table_ok and forest_ok and odd_ok and q2_ok and primes_ok,
         details,
-        known_defect=table_ok and odd_ok and primes_ok and not q2_ok,
+        known_defect=table_ok and forest_ok and odd_ok and primes_ok and not q2_ok,
     )
 
 

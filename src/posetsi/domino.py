@@ -16,16 +16,14 @@ from typing import Iterator, NamedTuple
 
 from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
 from .linext import count_extensions
-from .linext import _extension_orders, _labels_of_order, _parity, _validate
+from .linext import _extension_orders, _parity, _validate
 from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
     "DominoTableau",
-    "is_tableau",
     "enumerate_tableaux",
     "quotient",
     "tableau_sign",
-    "adapted_extension",
     "adapted_count",
     "si_via_quotients",
     "is_q_adapted",
@@ -93,17 +91,6 @@ def quotient(p: Poset, t: DominoTableau) -> Poset:
         return from_covers(len(masks), edges)
     except CycleError as exc:
         raise NotATableau("partition is not a domino tableau") from exc
-
-
-def is_tableau(p: Poset, t: DominoTableau) -> bool:
-    """True iff ``quotient`` accepts t: the singleton, if any, is maximal
-    and the quotient relation is acyclic. Raises MalformedPartition if t
-    is not a partition into cover 2-chains plus at most one singleton."""
-    try:
-        quotient(p, t)
-    except NotATableau:
-        return False
-    return True
 
 
 def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
@@ -191,15 +178,6 @@ def _term(t: DominoTableau, q: Poset) -> tuple[int, int]:
     if t.singleton is not None:
         q = q.subposet(range(q.n - 1))
     return sgn, count_extensions(q)
-
-
-def adapted_extension(p: Poset, t: DominoTableau) -> tuple[int, ...]:
-    """A linear extension assigning labels 2i-1, 2i to the i-th part in
-    the quotient's first extension in ascending order, which schedules
-    the singleton part (largest index, maximal) last, with label n."""
-    parts = _parts(t)
-    order = next(_extension_orders(quotient(p, t)))
-    return _labels_of_order([x for v in order for x in parts[v]])
 
 
 def tableau_sign(p: Poset, t: DominoTableau) -> int:

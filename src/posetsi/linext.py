@@ -6,27 +6,38 @@ A linear extension is stored as its label array ``labels`` with
 to the identity on element indices, so sgn is the inversion parity of the
 label array; imbalance is independent of that choice.
 
-One walk over the lattice of down-sets, ``_layers``, serves every exact
-count: e(P), or e(P) and the signed sum together in a single pass, e(P)
-mod q and the list of down-sets that poset generation attaches new
-elements over. Each stored down-set keeps one int that packs its count
+Three exact routes count and sign extensions, and each is checked
+against the others:
+
+- The down-set walk, ``_layers``, serves every poset and every public
+  count: e(P), or e(P) and the signed sum together in a single pass,
+  e(P) mod q and the list of down-sets that poset generation attaches
+  new elements over.
+- The forest route, ``forest_count``, takes O(n^2) big-integer steps
+  when the Hasse diagram is a forest (fences, chains, antichains, trees)
+  and declines every other poset. CLI ``count`` and ``si`` take it
+  whenever it applies, and walk otherwise. The public counts and every
+  criterion but the Euler table check keep to the walk.
+- Brute enumeration, ``_extension_orders``, a depth-first walk on an
+  explicit stack that stores no down-sets. ``_enumerated_signed``
+  streams it to count and sign every extension.
+
+Each stored down-set of the walk keeps one int that packs its count
 (its even and odd ways, when signed) above its addable set, the minimal
 elements of its complement, so the walk steps only over elements that
-can be added and each lattice edge costs one dict update. Every sign
-follows one rule: an element placed after j larger ones adds j
-inversions, per step in the walk and per sequence in ``_parity``. The
-walk stores one popcount layer at a time and raises
-:class:`ResourceLimit` the moment the number of stored down-sets would
-pass the cap, before the rest of the layer is built. Enumeration
-(``_extension_orders``) is a separate depth-first walk on an explicit
-stack that stores no down-sets. ``at_least_k`` falls back to it, and
-stops after the first k extensions, when the lattice is too large for a
-walk of fewer than k steps. It is also the independent brute route:
-``_enumerated_signed`` streams it to count and sign every extension, and
-the CLI and the acceptance suite check the walk's answers against it.
+can be added and each lattice edge costs one dict update. Enumeration
+carries the same addable sets from depth to depth. Every sign follows
+one rule: an element placed after j larger ones adds j inversions, per
+step in the walk and per sequence in ``_parity``. The walk stores one
+popcount layer at a time and raises :class:`ResourceLimit` the moment
+the number of stored down-sets would pass the cap, before the rest of
+the layer is built. ``at_least_k`` falls back to enumeration, and stops
+after the first k extensions, when the lattice is too large for a walk
+of fewer than k steps.
 """
 
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidExtension, ResourceLimit
@@ -38,6 +49,7 @@ __all__ = [
     "count_extensions",
     "signed_count",
     "count_mod",
+    "forest_count",
     "enumerate_extensions",
     "at_least_k",
     "phi",
@@ -91,6 +103,13 @@ def _width(k: int) -> int:
     return factorial(k).bit_length()
 
 
+def _upper_covers(p: Poset) -> list[list[tuple[int, int]]]:
+    """For each element x, (bit of y, elements below y) for each y that
+    covers x: placing x makes y addable once all of those are placed."""
+    down = p.down
+    return [[(1 << y, down[y]) for y in iter_bits(p.cover_up[x])] for x in range(p.n)]
+
+
 def _layers(
     p: Poset, downset_cap: int = DOWNSET_CAP, signed: bool = False
 ) -> Iterator[dict[int, int]]:
@@ -114,11 +133,9 @@ def _layers(
     """
     n = p.n
     full = (1 << n) - 1
-    down = p.down
-    covers = [[(1 << y, down[y]) for y in iter_bits(p.cover_up[x])] for x in range(n)]
+    covers = _upper_covers(p)
     w = _width(0)
-    minimal = sum(1 << x for x in range(n) if not down[x])
-    cur = {0: (1 << w if signed else 1) << n | minimal}  # one even way
+    cur = {0: (1 << w if signed else 1) << n | p.minimal_mask}  # one even way
     stored = 1
     yield cur
     for k in range(1, n + 1):
@@ -193,34 +210,155 @@ def count_mod(p: Poset, q: int) -> int:
     return _full_count(p, DOWNSET_CAP)[0] % q
 
 
+def _binom_minus_one(m: int, k: int) -> int:
+    """Gaussian binomial [m choose k] at q = -1: the signed number of
+    shuffles of k low and m - k high elements, each high element placed
+    before a low one adding an inversion."""
+    if not m & 1 and k & 1:
+        return 0
+    return comb(m >> 1, k >> 1)
+
+
+def _merge(f: list[int], g: list[int], above: bool, signed: bool) -> list[int]:
+    """Join subtree C (vector g, its root c) to the tree A (vector f, its
+    root r) along the cover edge r-c; c lies above r when ``above``.
+
+    f[i] counts the extensions of A with r at position i, g[j] those of
+    C with c at position j, and so for the result. An extension of the
+    join puts s of C's elements before r; then c follows r exactly when
+    j >= s. A's indices are all below C's, so with ``signed`` the cross
+    inversions depend only on the shuffle: the two shuffles around r
+    weigh their q = -1 binomials, and the s elements of C before r add
+    one inversion each for r and the a - 1 - i elements of A after it.
+    """
+    a, b = len(f), len(g)
+    binom = _binom_minus_one if signed else comb
+    # tail[s]: ways of C whose root sits where s elements of C before r allow
+    if above:
+        tail = [*accumulate(reversed(g), initial=0)][::-1]
+    else:
+        tail = [*accumulate(g, initial=0)]
+    if a == 1:  # r alone: every shuffle is C's first s elements, r, the rest
+        if signed:
+            tail[1::2] = [-ways for ways in tail[1::2]]
+        return tail
+    h = [0] * (a + b)
+    for i, fi in enumerate(f):
+        if not fi:
+            continue
+        for s, ways in enumerate(tail):
+            if ways:
+                k = i + s
+                w = binom(k, i) * binom(a + b - 1 - k, a - 1 - i)
+                if signed and s * (a - i) & 1:
+                    w = -w
+                h[k] += fi * w * ways
+    return h
+
+
+def forest_count(p: Poset) -> SignedCount | None:
+    """e(P) and the signed sum in O(n^2) big-integer steps when the Hasse
+    diagram of P is a forest, else None.
+
+    The elements are renumbered in preorder, one component after
+    another, so that every subtree, and every component, occupies a
+    block of consecutive numbers above those merged before it. Each
+    subtree keeps a vector indexed by its root's position, and children
+    join their parent in preorder by ``_merge`` (Atkinson, Order 1990);
+    the signed pass uses the same merge with q = -1 shuffle weights
+    (Stanley, Adv. Appl. Math. 2005). Components join by the same
+    binomials. The parity of the renumbering puts the signed sum back
+    in the caller's labelling. Nothing recurses, so a chain of any
+    length is one pass.
+    """
+    n = p.n
+    if n and sum(m.bit_count() for m in p.cover_up) >= n:
+        return None  # a forest has n - (components) < n cover edges
+    nbrs = list(p.cover_up)  # Hasse neighbours of each element
+    for x, up in enumerate(p.cover_up):
+        for y in iter_bits(up):
+            nbrs[y] |= 1 << x
+    order: list[int] = []  # elements in preorder
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        roots |= 1 << root
+        seen |= 1 << root
+        stack = [(root, 0)]  # (element, its parent's bit)
+        while stack:
+            x, pbit = stack.pop()
+            order.append(x)
+            kids = nbrs[x] & ~seen
+            if nbrs[x] ^ kids != pbit:
+                return None  # a second path to a seen element: a cycle
+            seen |= kids
+            children[x] = list(iter_bits(kids))
+            stack += [(y, 1 << x) for y in reversed(children[x])]
+    sums = []
+    for signed in (False, True):
+        binom = _binom_minus_one if signed else comb
+        vec: list[list[int] | None] = [None] * n
+        total, size = 1, 0
+        for x in reversed(order):
+            f = [1]
+            for c in children[x]:
+                f = _merge(f, vec[c], p.cover_up[x] >> c & 1, signed)
+                vec[c] = None
+            vec[x] = f
+            if roots >> x & 1:  # a component's root, met last to first
+                m = len(f)
+                total *= binom(size + m, m) * sum(f)
+                size += m
+        sums.append(total)
+    e, signed_sum = sums
+    signed_sum *= _parity(order)
+    return SignedCount(e, signed_sum, abs(signed_sum))
+
+
 def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:
     """Yield extensions as element sequences (label order), depth first
     with ascending element choice, on an explicit stack so that no chain
-    is too long for it."""
+    is too long for it. Each depth carries its addable set forward from
+    the depth above, as ``_layers`` does: the element just placed drops
+    out, and each upper cover of it whose elements below are now all
+    placed joins. So a step tries only addable elements, and a full
+    sequence is yielded without a frame of its own."""
     n = p.n
-    down = p.down
+    if not n:
+        yield ()
+        return
+    covers = _upper_covers(p)
     full = (1 << n) - 1
     seq: list[int] = []
     mask = 0
-    todo = [full]  # per depth, the elements not yet tried there
+    addable = [p.minimal_mask]  # per depth
+    todo = addable[:]  # per depth, the addable elements not yet tried there
     while todo:
-        if mask == full:
-            yield tuple(seq)
         free = todo[-1]
-        while free:
-            low = free & -free
-            free ^= low
-            if not down[low.bit_length() - 1] & ~mask:
-                break
-        else:
+        if not free:
             todo.pop()
+            addable.pop()
             if seq:
                 mask ^= 1 << seq.pop()
             continue
-        todo[-1] = free
-        seq.append(low.bit_length() - 1)
+        low = free & -free
+        todo[-1] = free ^ low
+        x = low.bit_length() - 1
+        seq.append(x)
         mask |= low
-        todo.append(~mask & full)
+        if mask == full:
+            yield tuple(seq)
+            seq.pop()
+            mask ^= low
+            continue
+        nxt = addable[-1] ^ low
+        for ybit, below in covers[x]:
+            if not below & ~mask:
+                nxt |= ybit
+        addable.append(nxt)
+        todo.append(nxt)
 
 
 def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:

@@ -39,6 +39,17 @@ def brute_signed(n, relations):
     return len(arrays), abs(sum(inversion_sign(a) for a in arrays))
 
 
+class CountedRows(tuple):
+    """A tuple of relation rows that counts how often one is read by
+    index, to bound the work of code that reads them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 def allow_cpus(monkeypatch, count):
     """Make this process see ``count`` CPUs."""
     monkeypatch.setattr(

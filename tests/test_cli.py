@@ -366,9 +366,43 @@ def test_exit_code_cycle(capsys, tmp_path):
 
 
 def test_exit_code_resource(capsys):
-    code, _, err = run(capsys, "count", "antichain:24", "--downset-cap", "100")
+    # grid(5, 6) is no Hasse forest; its walk stores 462 down-sets
+    code, _, err = run(capsys, "count", "grid:5:6", "--downset-cap", "100")
     assert code == 3
     assert "cap" in err
+
+
+def test_forest_route_stores_no_downset(capsys):
+    code, out, _ = run(capsys, "count", "antichain:24", "--downset-cap", "100")
+    assert code == 0
+    assert out.strip() == "e = 620448401733239439360000"  # 24!
+
+
+def test_fences_past_the_walk(capsys):
+    from posetsi import euler_numbers
+
+    e46 = str(euler_numbers(46)[-1])
+    code, out, _ = run(capsys, "count", "zigzag:46")
+    assert code == 0
+    assert out.strip() == f"e = {e46}"
+    code, out, _ = run(capsys, "si", "zigzag:46", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "e": e46,
+        "signed": "1",
+        "si": "1",
+        "si_brute": None,
+        "si_quotient": "1",
+    }
+
+
+def test_si_names_its_route(capsys):
+    code, out, _ = run(capsys, "si", "zigzag:6")
+    assert code == 0
+    assert "si (forest DP) = 1" in out.splitlines()
+    code, out, _ = run(capsys, "si", "grid:2:3")
+    assert code == 0
+    assert "si (signed DP) = 1" in out.splitlines()
 
 
 def test_si_matching_cap(capsys, monkeypatch, tmp_path, eight_cycle):
@@ -448,7 +482,7 @@ def test_exit_code_recursion(capsys, monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr("posetsi.cli.count_extensions", too_deep)
-    code, _, err = run(capsys, "count", "chain:3")
+    code, _, err = run(capsys, "count", "grid:2:2")
     assert code == 3
     assert "RecursionError" in err
 
@@ -485,7 +519,7 @@ def test_exit_code_memory(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("posetsi.cli.count_extensions", exhausted)
-    code, _, err = run(capsys, "count", "chain:3")
+    code, _, err = run(capsys, "count", "grid:2:2")
     assert code == 3
     assert "MemoryError" in err
 

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -63,17 +64,22 @@ def test_empty_size():
     assert empty.n == 0
 
 
-def test_class_counts_table_is_checked(monkeypatch):
+@pytest.fixture
+def own_class_cache(monkeypatch):
+    """Generation on an empty cache of its own for one test, so that the
+    shared cache keeps the census levels that other tests reuse."""
+    fresh = lru_cache(maxsize=None)(generate._classes.__wrapped__)
+    monkeypatch.setattr(generate, "_classes", fresh)
+    return fresh
+
+
+def test_class_counts_table_is_checked(monkeypatch, own_class_cache):
     monkeypatch.setattr(generate, "CLASS_COUNTS", (1, 1, 2, 6))
-    generate._classes.cache_clear()
-    try:
-        assert poset_class_count(2) == 2
-        with pytest.raises(VerificationError, match="3 elements, expected 6"):
-            poset_class_count(3)
-        # height-2 generation is not what the table counts
-        assert poset_class_count(3, max_height=2) == 4
-    finally:
-        generate._classes.cache_clear()
+    assert poset_class_count(2) == 2
+    with pytest.raises(VerificationError, match="3 elements, expected 6"):
+        poset_class_count(3)
+    # height-2 generation is not what the table counts
+    assert poset_class_count(3, max_height=2) == 4
 
 
 def test_class_count_honours_every_height_bound():
@@ -86,28 +92,20 @@ def test_class_count_honours_every_height_bound():
     assert poset_class_count(4, max_height=3) == 15
 
 
-def test_height_bounds_share_two_cached_levels():
-    generate._classes.cache_clear()
-    try:
-        for h in (None, 1, 2, 3, 4):
-            poset_class_count(5, max_height=h)
-        assert generate._classes.cache_info().currsize == 2 * 6
-    finally:
-        generate._classes.cache_clear()
+def test_height_bounds_share_two_cached_levels(own_class_cache):
+    for h in (None, 1, 2, 3, 4):
+        poset_class_count(5, max_height=h)
+    assert own_class_cache.cache_info().currsize == 2 * 6
 
 
-def test_height2_class_counts_table_is_checked(monkeypatch):
+def test_height2_class_counts_table_is_checked(monkeypatch, own_class_cache):
     monkeypatch.setattr(generate, "H2_CLASS_COUNTS", (1, 1, 2, 5))
-    generate._classes.cache_clear()
-    try:
-        assert poset_class_count(2, max_height=2) == 2
-        with pytest.raises(
-            VerificationError, match="4 height-2 classes on 3 elements, expected 5"
-        ):
-            poset_class_count(3, max_height=2)
-        assert poset_class_count(3) == 5
-    finally:
-        generate._classes.cache_clear()
+    assert poset_class_count(2, max_height=2) == 2
+    with pytest.raises(
+        VerificationError, match="4 height-2 classes on 3 elements, expected 5"
+    ):
+        poset_class_count(3, max_height=2)
+    assert poset_class_count(3) == 5
 
 
 def all_children(p, height2):

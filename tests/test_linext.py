@@ -17,6 +17,7 @@ from posetsi import (
     disjoint_union,
     enumerate_extensions,
     enumerate_posets,
+    euler_numbers,
     from_covers,
     grid,
     phi,
@@ -28,8 +29,8 @@ from posetsi import (
     zigzag,
 )
 from posetsi import linext
-from posetsi.linext import _layers
-from conftest import brute_label_arrays, brute_signed, inversion_sign
+from posetsi.linext import _layers, forest_count
+from conftest import CountedRows, brute_label_arrays, brute_signed, inversion_sign
 
 
 def test_count_fence_six():
@@ -230,6 +231,19 @@ def test_extension_orders_match_recursive_order():
     assert list(linext._extension_orders(antichain(0))) == [()]
 
 
+def test_extension_orders_scan_no_unplaced_elements_on_a_chain():
+    # each depth carries its addable set, so backing out of the one
+    # extension of a chain tests no unplaced element again
+    n = 300
+    p = chain(n)
+    p.down = rows = CountedRows(p.down)
+    assert list(linext._extension_orders(p)) == [tuple(range(n))]
+    assert rows.reads <= 2 * n
+    rows.reads = 0
+    assert not at_least_k(p, 2)
+    assert rows.reads <= 2 * n
+
+
 def test_walk_lists_every_downset():
     for n in range(7):
         for p in enumerate_posets(n):
@@ -267,6 +281,87 @@ def test_walk_matches_brute_force(poset):
     for q in (2, 3, 5):
         assert count_mod(p, q) == e % q
     assert si_via_quotients(p) == si
+
+
+def _is_forest(p):
+    """No cover pair joins two elements that covers already connect."""
+    part = list(range(p.n))
+
+    def find(x):
+        while part[x] != x:
+            x = part[x]
+        return x
+
+    for x, y in p.covers():
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        part[rx] = ry
+    return True
+
+
+@st.composite
+def labelled_forests(draw):
+    """A forest on up to 8 elements: each element after the first starts
+    a tree or hangs below or above an earlier one, under shuffled labels.
+    A tree has one path between two elements, so its edges are covers."""
+    n = draw(st.integers(0, 8))
+    perm = draw(st.permutations(range(n)))
+    relations = []
+    for x in range(1, n):
+        y = draw(st.integers(-1, x - 1))
+        if y >= 0:
+            a, b = (y, x) if draw(st.booleans()) else (x, y)
+            relations.append((perm[a], perm[b]))
+    return n, relations
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(labelled_forests())
+def test_forest_route_matches_brute_force(forest):
+    n, relations = forest
+    p = from_covers(n, relations)
+    assert _is_forest(p)
+    fc = forest_count(p)
+    assert (fc.total, fc.imbalance) == brute_signed(n, relations)
+    assert fc.imbalance == abs(fc.signed)
+
+
+def test_forest_route_matches_the_walk_on_every_forest_class():
+    rng = random.Random(16)
+    forests = 0
+    for n in range(9):
+        for p in enumerate_posets(n):
+            if not _is_forest(p):
+                assert forest_count(p) is None
+                continue
+            forests += 1
+            for q in (p, p.relabel(rng.sample(range(n), n)), p.relabel(rng.sample(range(n), n))):
+                assert forest_count(q) == signed_count(q)
+    assert forests == 2924
+
+
+def test_forest_route_counts_fences_by_the_euler_table():
+    table = euler_numbers(300)
+    for n in range(1, 301):
+        fc = forest_count(zigzag(n))
+        assert fc.total == table[n - 1]
+        # a fence of odd length n >= 3 is balanced, all others have si 1
+        assert fc.imbalance == (n % 2 == 0 or n == 1)
+    assert forest_count(antichain(15)).total == 1307674368000
+
+
+def test_forest_route_declines_a_cycle(eight_cycle):
+    bowtie = from_covers(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    # fewer cover edges than elements, so only the traversal sees the cycle
+    square_and_two = disjoint_union(grid(2, 2), antichain(2))
+    for p in (eight_cycle, grid(2, 2), bowtie, square_and_two):
+        assert forest_count(p) is None
+    # the N poset's Hasse diagram is a path: it is the fence on 4 elements
+    n_poset = from_covers(4, [(0, 2), (1, 2), (1, 3)])
+    assert forest_count(n_poset) == signed_count(n_poset)
+    assert forest_count(n_poset).total == 5
+    assert forest_count(antichain(0)) == signed_count(antichain(0))
 
 
 def test_count_mod():

@@ -19,7 +19,7 @@ from posetsi import (
     stats,
     zigzag,
 )
-from conftest import brute_label_arrays
+from conftest import CountedRows, brute_label_arrays
 
 
 def test_from_covers_single_edge():
@@ -58,6 +58,39 @@ def test_roundtrip_through_covers():
     for n in range(6):
         for p in enumerate_posets(n):
             assert from_covers(p.n, p.covers()) == p
+
+
+def test_rows_match_their_definitions():
+    # down is the transpose of up; a cover of x is above x and above no
+    # other element above x
+    rng = random.Random(11)
+    posets = [p for n in range(7) for p in enumerate_posets(n)]
+    posets += [
+        from_covers(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15])
+        for n in (20, 40) for _ in range(10)
+    ]
+    posets += [chain(50), zigzag(9), grid(3, 4)]
+    for p in posets:
+        for q in (p, p.relabel(rng.sample(range(p.n), p.n))):
+            n, up = q.n, q.up
+            for x in range(n):
+                assert q.down[x] == sum(1 << i for i in range(n) if up[i] >> x & 1)
+                assert q.cover_up[x] == sum(
+                    1 << y
+                    for y in range(n)
+                    if up[x] >> y & 1 and not any(up[x] >> z & 1 and up[z] >> y & 1 for z in range(n))
+                )
+
+
+def test_a_chain_reads_each_row_a_bounded_number_of_times():
+    # each row visits only its minimal elements, so a long chain costs
+    # a few reads per row, not one per pair
+    n = 500
+    rows = CountedRows(chain(n).up)
+    p = Poset(n, rows)
+    assert rows.reads <= 4 * n
+    assert p.cover_up == tuple(1 << i + 1 for i in range(n - 1)) + (0,)
+    assert p.down == tuple((1 << i) - 1 for i in range(n))
 
 
 def test_chain_and_antichain():
