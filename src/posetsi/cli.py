@@ -67,7 +67,7 @@ def _cmd_si(args) -> int:
     if sc.total <= args.enum_cap:
         count, signed = _enumerated_signed(p, cap=args.enum_cap)
         brute = abs(signed)
-    quot = domino.si_via_quotients(p)
+    quot = domino.si_via_quotients(p, downset_cap=args.downset_cap)
     payload = {
         "e": str(sc.total),
         "signed": str(sc.signed),
@@ -326,22 +326,27 @@ def build_parser() -> argparse.ArgumentParser:
         s.set_defaults(func=None)
         return s
 
-    def downset_cap(s):
+    def downset_cap(s, bounds):
         s.add_argument(
             "--downset-cap", type=_nonnegative, default=DOWNSET_CAP,
-            help="exit 3 once the down-set walk would store more than this "
+            help="exit 3 once a down-set walk would store more than this "
             "many distinct down-sets (order ideals, the empty one included); "
-            "it bounds only the walk, which Hasse forests skip",
+            + bounds,
         )
 
     s = common(sub.add_parser("count", help="number of linear extensions"))
     _add_poset_arg(s)
-    downset_cap(s)
+    downset_cap(s, "it bounds only the walk, which Hasse forests skip")
     s.set_defaults(func=_cmd_count)
 
     s = common(sub.add_parser("si", help="sign imbalance by three routes"))
     _add_poset_arg(s)
-    downset_cap(s)
+    downset_cap(
+        s,
+        "it bounds each of two walks: the signed DP's, which Hasse forests "
+        "skip, and the quotient route's, over the down-sets of even size "
+        "that dominoes reach",
+    )
     s.add_argument(
         "--enum-cap", type=_nonnegative, default=ENUM_CAP,
         help="enumerate extensions for the brute-force route only when "

@@ -6,17 +6,26 @@ singleton (only when n is odd, and it must be a maximal element), such
 that the parts admit an ordering whose prefixes are all down-sets -
 equivalently, the induced quotient relation is acyclic. ``quotient`` is
 the one place that decides this: a partition is a tableau exactly when
-``from_covers`` accepts its quotient relation. The quotient route counts
-the cover matchings up to ``MATCHING_CAP`` before it builds each one's
-quotient once, and ``_term`` reads the sign of a tableau from its pairs
-and its adapted count from the quotient, with no label array.
-"""
+``from_covers`` accepts its quotient relation, built from the cover
+pairs between parts. Listing the tableaux (``enumerate_tableaux``, CLI
+``domino``) counts the cover matchings up to ``MATCHING_CAP`` before it
+builds each one's quotient once, and ``_term`` reads the sign of a
+tableau from its pairs and its adapted count from the quotient, with no
+label array. ``si_via_quotients`` sums the same terms without listing
+them: one signed walk over the down-sets that sequences of dominoes
+reach, bounded by a down-set cap, not by ``MATCHING_CAP``."""
 
 from typing import Iterator, NamedTuple
 
 from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
-from .linext import count_extensions
-from .linext import _extension_orders, _parity, _validate
+from .linext import DOWNSET_CAP, count_extensions
+from .linext import (
+    _downset_limit,
+    _extension_orders,
+    _parity,
+    _upper_covers,
+    _validate,
+)
 from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
@@ -79,16 +88,20 @@ def quotient(p: Poset, t: DominoTableau) -> Poset:
     if t.singleton is not None and p.up[t.singleton]:
         raise NotATableau(f"singleton {t.singleton} is not maximal")
     parts = _parts(t)
-    masks = [1 << part[0] | 1 << part[-1] for part in parts]
-    ups = [p.up[part[0]] | p.up[part[-1]] for part in parts]
+    part_of = [0] * p.n
+    for i, part in enumerate(parts):
+        for x in part:
+            part_of[x] = i
+    # the cover pairs between parts have the same closure as all pairs
     edges = [
-        (i, j)
-        for i, up in enumerate(ups)
-        for j, mask in enumerate(masks)
-        if i != j and up & mask
+        (i, part_of[y])
+        for i, part in enumerate(parts)
+        for x in part
+        for y in iter_bits(p.cover_up[x])
+        if part_of[y] != i
     ]
     try:
-        return from_covers(len(masks), edges)
+        return from_covers(len(parts), edges)
     except CycleError as exc:
         raise NotATableau("partition is not a domino tableau") from exc
 
@@ -195,10 +208,89 @@ def adapted_count(p: Poset, t: DominoTableau) -> int:
     return _term(t, quotient(p, t))[1]
 
 
-def si_via_quotients(p: Poset) -> int:
-    """Sign imbalance as |sum over tableaux of sgn(t) * adapted count|."""
-    terms = (_term(t, q) for t, q in _tableaux(p))
-    return abs(sum(sgn * count for sgn, count in terms))
+def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
+    """Sign imbalance as |sum over tableaux T of sgn(T) * e(P_T)|, with
+    e(P_T) the adapted count of T (see ``adapted_count``).
+
+    The extensions adapted to some tableau are exactly the fixed points
+    of ``linext.phi``: labels 2i - 1 and 2i on comparable elements sit on
+    a cover pair, bottom first. Each fixed point is adapted to one
+    tableau and has its sign, and phi pairs off every other extension
+    with one of opposite sign, so
+
+        sum_T sgn(T) * e(P_T) = sum of sgn over the fixed points of phi.
+
+    The right side is counted by one signed walk over the down-sets of
+    even size that a sequence of dominoes reaches, one layer at a time.
+    A step adds a domino: an addable element u, then an element w
+    covering u that is addable once u is placed; for odd n the last step
+    places the one element left. Each placement is signed by the rule of
+    ``linext._layers``: x adds one inversion per placed element with a
+    larger index. A down-set is stored as one int, its signed ways above
+    its tops: the elements w with exactly one element u of their
+    down-set unplaced, so that (u, w) is a domino. A step goes from w
+    alone, and so touches only bottoms that complete a domino. A child's
+    tops are built once, when it is first stored: the parent's tops that
+    do not cover u, plus those among the upper covers of u, of w and of
+    each element they make addable. Every distinct down-set, the empty
+    one included, counts toward ``downset_cap`` as it is stored, and
+    nothing recurses.
+    """
+    n = p.n
+    full = (1 << n) - 1
+    down, cover_up = p.down, p.cover_up
+    covers = _upper_covers(p)
+    tops = sum(1 << w for w, m in enumerate(down) if m and not m & (m - 1))
+    cur = {0: 1 << n | tops}  # one even way
+    stored = 1
+    for k in range(2, n + 1, 2):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for mask, val in cur.items():
+            tops = val & full
+            plus = val ^ tops
+            minus = -plus
+            free = tops
+            while free:
+                wbit = free & -free
+                free ^= wbit
+                ubit = down[wbit.bit_length() - 1] & ~mask
+                half = mask | ubit
+                new = half | wbit
+                # placed elements above u, then above w
+                odd = (
+                    (mask >> ubit.bit_length()).bit_count()
+                    + (half >> wbit.bit_length()).bit_count()
+                ) & 1
+                inc = minus if odd else plus
+                old = get(new)
+                if old is not None:
+                    nxt[new] = old + inc
+                    continue
+                stored += 1
+                if stored > downset_cap:
+                    raise _downset_limit(downset_cap, k, n)
+                u = ubit.bit_length() - 1
+                child = tops & ~cover_up[u]
+                near = covers[u] + covers[wbit.bit_length() - 1]
+                for ybit, below in near:  # grows by the covers of new addables
+                    if ybit & new:
+                        continue
+                    unplaced = below & ~new
+                    if not unplaced:
+                        near += covers[ybit.bit_length() - 1]
+                    elif not unplaced & (unplaced - 1):
+                        child |= ybit
+                nxt[new] = inc | child
+        cur = nxt
+    if not n & 1:
+        return abs(cur.get(full, 0) >> n)
+    total = 0
+    for mask, val in cur.items():
+        last = full ^ mask
+        ways = val >> n
+        total += -ways if (mask >> last.bit_length()).bit_count() & 1 else ways
+    return abs(total)
 
 
 def _blocks_connected(p: Poset, order, q: int) -> bool:

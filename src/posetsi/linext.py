@@ -6,7 +6,7 @@ A linear extension is stored as its label array ``labels`` with
 to the identity on element indices, so sgn is the inversion parity of the
 label array; imbalance is independent of that choice.
 
-Three exact routes count and sign extensions, and each is checked
+Four exact routes count or sign extensions, and each is checked
 against the others:
 
 - The down-set walk, ``_layers``, serves every poset and every public
@@ -21,6 +21,11 @@ against the others:
 - Brute enumeration, ``_extension_orders``, a depth-first walk on an
   explicit stack that stores no down-sets. ``_enumerated_signed``
   streams it to count and sign every extension.
+- The quotient route, ``domino.si_via_quotients``, signs only the
+  fixed points of ``phi``, the extensions built from dominoes, by a
+  walk over the down-sets of even size that they reach; it shares
+  ``_upper_covers``, the sign rule below and the cap's error with
+  ``_layers``.
 
 Each stored down-set of the walk keeps one int that packs its count
 (its even and odd ways, when signed) above its addable set, the minimal
@@ -28,12 +33,12 @@ elements of its complement, so the walk steps only over elements that
 can be added and each lattice edge costs one dict update. Enumeration
 carries the same addable sets from depth to depth. Every sign follows
 one rule: an element placed after j larger ones adds j inversions, per
-step in the walk and per sequence in ``_parity``. The walk stores one
-popcount layer at a time and raises :class:`ResourceLimit` the moment
-the number of stored down-sets would pass the cap, before the rest of
-the layer is built. ``at_least_k`` falls back to enumeration, and stops
-after the first k extensions, when the lattice is too large for a walk
-of fewer than k steps.
+step in the walk and in the quotient route, and per sequence in
+``_parity``. The walk stores one popcount layer at a time and raises
+:class:`ResourceLimit` the moment the number of stored down-sets would
+pass the cap, before the rest of the layer is built. ``at_least_k``
+falls back to enumeration, and stops after the first k extensions, when
+the lattice is too large for a walk of fewer than k steps.
 """
 
 from itertools import accumulate
@@ -110,6 +115,15 @@ def _upper_covers(p: Poset) -> list[list[tuple[int, int]]]:
     return [[(1 << y, down[y]) for y in iter_bits(p.cover_up[x])] for x in range(p.n)]
 
 
+def _downset_limit(cap: int, k: int, n: int) -> ResourceLimit:
+    """The error of a walk that would store more than ``cap`` down-sets
+    while it builds layer k of n."""
+    return ResourceLimit(
+        f"down-set count exceeded cap {cap} in layer {k} of {n}; "
+        "raise it with --downset-cap"
+    )
+
+
 def _layers(
     p: Poset, downset_cap: int = DOWNSET_CAP, signed: bool = False
 ) -> Iterator[dict[int, int]]:
@@ -165,10 +179,7 @@ def _layers(
                     continue
                 stored += 1
                 if stored > downset_cap:
-                    raise ResourceLimit(
-                        f"down-set count exceeded cap {downset_cap} in layer "
-                        f"{k} of {n}; raise it with --downset-cap"
-                    )
+                    raise _downset_limit(downset_cap, k, n)
                 child = addable ^ low
                 for ybit, below in covers[low.bit_length() - 1]:
                     if not below & ~new:

@@ -10,6 +10,7 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import strategies as st
 
 from posetsi import from_covers, linext
 
@@ -37,6 +38,17 @@ def brute_signed(n, relations):
     """(count, |signed sum|) over all valid label arrays."""
     arrays = brute_label_arrays(n, relations)
     return len(arrays), abs(sum(inversion_sign(a) for a in arrays))
+
+
+@st.composite
+def labelled_posets(draw, max_n=7, max_pairs=8):
+    """(n, relations) with n <= max_n: up to max_pairs pairs a < b of a
+    random order on the elements, under shuffled labels."""
+    n = draw(st.integers(0, max_n))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=max_pairs) if pairs else st.just([]))
+    return n, [(perm[a], perm[b]) for a, b in picked]
 
 
 class CountedRows(tuple):

@@ -405,16 +405,24 @@ def test_si_names_its_route(capsys):
     assert "si (signed DP) = 1" in out.splitlines()
 
 
-def test_si_matching_cap(capsys, monkeypatch, tmp_path, eight_cycle):
+def test_domino_matching_cap(capsys, monkeypatch, tmp_path, eight_cycle):
     from posetsi import domino
     from posetsi.textio import write_poset
 
     monkeypatch.setattr(domino, "MATCHING_CAP", 1)
     path = tmp_path / "cycle.poset"
     path.write_text(write_poset(eight_cycle))
-    code, _, err = run(capsys, "si", str(path))
+    code, _, err = run(capsys, "domino", str(path))
     assert code == 3
     assert "matching count exceeded cap 1" in err
+
+
+def test_si_past_the_matching_cap(capsys):
+    # grid:6:8 has more than MATCHING_CAP cover matchings
+    code, out, _ = run(capsys, "si", "grid:6:8", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["si"] == rep["si_quotient"] == "0"
 
 
 def test_ruskey_path_cap(capsys):

@@ -2,7 +2,9 @@ from itertools import permutations
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import brute_signed, labelled_posets
 from posetsi import (
     CycleError,
     DominoTableau,
@@ -154,7 +156,7 @@ def test_is_tableau_and_quotient_match_definition():
     assert 0 < tableaux < tried
 
 
-def test_si_via_quotients_builds_each_quotient_once(monkeypatch, eight_cycle):
+def test_enumerate_tableaux_builds_each_quotient_once(monkeypatch, eight_cycle):
     original = domino.quotient
     calls = 0
 
@@ -166,7 +168,7 @@ def test_si_via_quotients_builds_each_quotient_once(monkeypatch, eight_cycle):
     monkeypatch.setattr(domino, "quotient", counting)
     for p in (zigzag(6), eight_cycle, disjoint_union(chain(2), chain(1))):
         calls = 0
-        si_via_quotients(p)
+        enumerate_tableaux(p)
         assert calls == sum(1 for _ in domino._cover_matchings(p))
 
 
@@ -266,14 +268,21 @@ def test_cover_matchings_of_a_long_chain():
     assert t.singleton is None
 
 
+def _tableau_sum(p):
+    """|sum over the listed tableaux of sign times adapted count|."""
+    return abs(
+        sum(tableau_sign(p, t) * adapted_count(p, t) for t in enumerate_tableaux(p))
+    )
+
+
 def test_matching_cap(monkeypatch, eight_cycle):
     # the eight-cycle has exactly two cover matchings, and the walk reads
     # the cap when it runs
     monkeypatch.setattr(domino, "MATCHING_CAP", 2)
-    assert si_via_quotients(eight_cycle) == 2
+    assert _tableau_sum(eight_cycle) == 2
     monkeypatch.setattr(domino, "MATCHING_CAP", 1)
     with pytest.raises(ResourceLimit, match="matching count exceeded cap 1"):
-        si_via_quotients(eight_cycle)
+        enumerate_tableaux(eight_cycle)
 
 
 def test_matching_cap_fires_before_any_quotient(monkeypatch, eight_cycle):
@@ -288,7 +297,7 @@ def test_matching_cap_fires_before_any_quotient(monkeypatch, eight_cycle):
     monkeypatch.setattr(domino, "quotient", counting)
     monkeypatch.setattr(domino, "MATCHING_CAP", 1)
     with pytest.raises(ResourceLimit, match="matching count exceeded cap 1"):
-        si_via_quotients(eight_cycle)
+        enumerate_tableaux(eight_cycle)
     assert calls == 0
 
 
@@ -408,6 +417,41 @@ def test_quotient_route_matches_signed_dp():
     for n in range(7):
         for p in enumerate_posets(n):
             assert si_via_quotients(p) == signed_count(p).imbalance
+
+
+def test_quotient_walk_matches_the_tableau_sum():
+    rng = random.Random(17)
+    checked = 0
+    for n in range(8):
+        for p in enumerate_posets(n):
+            for q in (p, p.relabel(rng.sample(range(n), n)), p.relabel(rng.sample(range(n), n))):
+                assert si_via_quotients(q) == _tableau_sum(q)
+                checked += 1
+    assert checked == 3 * 2451  # the classes with n <= 7
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(labelled_posets(max_n=8, max_pairs=10))
+def test_quotient_walk_matches_brute_force(poset):
+    n, relations = poset
+    assert si_via_quotients(from_covers(n, relations)) == brute_signed(n, relations)[1]
+
+
+def test_quotient_walk_cap_counts_every_stored_downset():
+    # chain(4) reaches three down-sets of even size: {}, {0, 1} and all
+    assert si_via_quotients(chain(4), downset_cap=3) == 1
+    with pytest.raises(ResourceLimit, match=r"cap 2 in layer 4 of 4.*--downset-cap"):
+        si_via_quotients(chain(4), downset_cap=2)
+    # a fence's one matching reaches one down-set per domino, plus the empty one
+    assert si_via_quotients(zigzag(1000), downset_cap=501) == 1
+    with pytest.raises(ResourceLimit, match=r"cap 500 in layer 1000 of 1000.*--downset-cap"):
+        si_via_quotients(zigzag(1000), downset_cap=500)
+
+
+def test_quotient_walk_on_a_long_chain():
+    # 1,050 dominoes, past the default recursion limit
+    assert si_via_quotients(chain(2100)) == 1
+    assert si_via_quotients(chain(2101)) == 1
 
 
 def test_more_minimal_than_maximal_blocks_tableaux():

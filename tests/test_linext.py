@@ -30,7 +30,13 @@ from posetsi import (
 )
 from posetsi import linext
 from posetsi.linext import _layers, forest_count
-from conftest import CountedRows, brute_label_arrays, brute_signed, inversion_sign
+from conftest import (
+    CountedRows,
+    brute_label_arrays,
+    brute_signed,
+    inversion_sign,
+    labelled_posets,
+)
 
 
 def test_count_fence_six():
@@ -257,15 +263,6 @@ def test_walk_lists_every_downset():
                 if all(not (p.down[x] & ~m) for x in range(n) if m >> x & 1)
             ]
             assert sorted(m for layer in layers for m in layer) == brute
-
-
-@st.composite
-def labelled_posets(draw):
-    n = draw(st.integers(0, 7))
-    perm = draw(st.permutations(range(n)))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    picked = draw(st.lists(st.sampled_from(pairs), max_size=8) if pairs else st.just([]))
-    return n, [(perm[a], perm[b]) for a, b in picked]
 
 
 @settings(max_examples=200, deadline=None, database=None)
