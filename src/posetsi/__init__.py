@@ -8,7 +8,6 @@ on extensions, and Euler zigzag numbers.
 from .canon import canonical_form, is_isomorphic
 from .domino import (
     DominoTableau,
-    adapted_count,
     enumerate_tableaux,
     exists_q_adapted,
     is_q_adapted,

@@ -313,11 +313,9 @@ def criterion_10() -> CriterionResult:
 
 
 def _c11_worker(p: Poset) -> tuple[bool, bool]:
-    g = ruskey.build_graph(p, adjacent_only=True)
-    plus, minus = ruskey.part_sizes(g)
+    rep = ruskey._graph_report(p, ruskey.build_graph(p, adjacent_only=True), None)
     si = signed_count(p).imbalance
-    bipartite = all(g.signs[a] != g.signs[b] for a, b in g.edges)
-    return ruskey.is_connected(g), bipartite and abs(plus - minus) == si
+    return rep["connected"], rep["bipartite_by_sign"] and rep["si"] == si
 
 
 def criterion_11() -> CriterionResult:

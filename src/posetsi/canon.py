@@ -40,16 +40,6 @@ def _rank(signatures: list) -> list[int]:
     return [order[s] for s in signatures]
 
 
-def _twins(p: Poset, u: int, w: int) -> bool:
-    """True iff swapping u and w (fixing all else) is an automorphism."""
-    if (p.up[u] >> w | p.up[w] >> u) & 1:
-        return False
-    keep = ~((1 << u) | (1 << w))
-    return (p.up[u] & keep) == (p.up[w] & keep) and (p.down[u] & keep) == (
-        p.down[w] & keep
-    )
-
-
 def canonical_form(p: Poset) -> bytes:
     """Canonical byte string: equal for two posets iff they are isomorphic."""
     if p._canon is not None:
@@ -61,7 +51,7 @@ def canonical_form(p: Poset) -> bytes:
     colors = _refined_colors(p)
     # positions are filled class by class in color order
     pos_color = sorted(colors)
-    up = p.up
+    up, down = p.up, p.down
 
     best: list[int] | None = None
     placed: list[int] = []
@@ -73,13 +63,12 @@ def canonical_form(p: Poset) -> bytes:
             best = codes.copy()
             return
         want = pos_color[pos]
-        cands = [v for v in range(n) if colors[v] == want and v not in placed_set]
-        kept: list[int] = []
-        for v in cands:
-            if any(_twins(p, u, v) for u in kept):
-                continue
-            kept.append(v)
-        for v in kept:
+        # twins, with equal up and down rows, give equal codes: try one
+        kept: dict[tuple[int, int], int] = {}
+        for v in range(n):
+            if colors[v] == want and v not in placed_set:
+                kept.setdefault((up[v], down[v]), v)
+        for v in kept.values():
             step = []
             for q in placed:
                 if up[q] >> v & 1:

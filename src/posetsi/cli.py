@@ -127,8 +127,8 @@ def _cmd_lift(args) -> int:
     if args.rel:
         with open(args.rel, "r", encoding="utf-8") as fh:
             rel = rel | frozenset(read_relation_pairs(fh.read()))
-    lifted = h2.build_lift(p, rel)
-    sys.stdout.write(write_poset(lifted))
+    text = write_poset(h2.build_lift(p, rel))
+    _emit(args, {"poset": text}, text.splitlines())
     return 0
 
 
@@ -214,7 +214,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_ruskey(args) -> int:
     p = _load_poset(args.poset)
     g = ruskey.build_graph(p, args.adjacent, args.graph_cap)
-    rep = ruskey._graph_report(p, g, args.hampath, args.path_cap)
+    rep = ruskey._graph_report(p, g, args.path_cap if args.hampath else None)
     lines = [f"{k}: {v}" for k, v in rep.items() if k != "path"]
     if "path" in rep:
         lines.append("path: " + " ".join(map(str, rep["path"])))
@@ -423,6 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact answers may run past 4,300 digits; textio._int bounds input
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

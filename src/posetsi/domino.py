@@ -33,7 +33,6 @@ __all__ = [
     "enumerate_tableaux",
     "quotient",
     "tableau_sign",
-    "adapted_count",
     "si_via_quotients",
     "is_q_adapted",
     "exists_q_adapted",
@@ -183,10 +182,12 @@ def enumerate_tableaux(p: Poset) -> list[DominoTableau]:
 
 
 def _term(t: DominoTableau, q: Poset) -> tuple[int, int]:
-    """Sign and adapted count (see ``adapted_count``) of tableau t with
-    quotient q. An adapted extension lists the parts in a schedule, each
-    pair bottom first; moving a pair past another part is an even
-    permutation, so the parts in canonical order have the same parity."""
+    """Sign and adapted count of tableau t with quotient q. An adapted
+    extension lists the parts in a schedule, each pair bottom first;
+    moving a pair past another part is an even permutation, so the parts
+    in canonical order have the same parity. The adapted count is e(q)
+    for even n; for odd n the singleton part is forced to carry the top
+    label, so it is e of q with that part removed."""
     sgn = _parity([x for part in _parts(t) for x in part])
     if t.singleton is not None:
         q = q.subposet(range(q.n - 1))
@@ -198,19 +199,9 @@ def tableau_sign(p: Poset, t: DominoTableau) -> int:
     return _term(t, quotient(p, t))[0]
 
 
-def adapted_count(p: Poset, t: DominoTableau) -> int:
-    """Number of linear extensions adapted to t.
-
-    For even n this is e of the quotient. For odd n the singleton part is
-    forced to carry the top label, so it is e of the quotient with the
-    singleton part removed.
-    """
-    return _term(t, quotient(p, t))[1]
-
-
 def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
     """Sign imbalance as |sum over tableaux T of sgn(T) * e(P_T)|, with
-    e(P_T) the adapted count of T (see ``adapted_count``).
+    e(P_T) the number of extensions adapted to T (see ``_term``).
 
     The extensions adapted to some tableau are exactly the fixed points
     of ``linext.phi``: labels 2i - 1 and 2i on comparable elements sit on

@@ -46,11 +46,7 @@ class Decomposition:
 
 def good_base(p: Poset) -> GoodSet:
     """Smallest good set: the diagonal plus all cover pairs."""
-    rel = {(x, x) for x in range(p.n)}
-    for u in range(p.n):
-        for v in iter_bits(p.cover_up[u]):
-            rel.add((u, v))
-    return frozenset(rel)
+    return frozenset({*((x, x) for x in range(p.n)), *p.covers()})
 
 
 def _validate_good(p: Poset, rel: GoodSet) -> None:

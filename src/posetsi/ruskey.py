@@ -164,22 +164,22 @@ def hamiltonian_path(
     return None
 
 
-def ruskey_report(p: Poset, adjacent_only: bool = False) -> dict:
-    """Sign imbalance, path existence, and conjecture consistency, with
-    the default caps ``GRAPH_CAP`` on the graph and ``HAMPATH_CAP`` on
-    the path search.
+def ruskey_report(p: Poset) -> dict:
+    """Sign imbalance, path existence, and conjecture consistency on the
+    any-transposition graph, with the default caps ``GRAPH_CAP`` on the
+    graph and ``HAMPATH_CAP`` on the path search.
 
     Consistency means: not (si <= 1 and no path found), search being
     exhaustive. An inconsistency would contradict an open conjecture and
     almost certainly indicates a bug, so callers should treat it loudly.
     """
-    return _graph_report(p, build_graph(p, adjacent_only), True, HAMPATH_CAP)
+    return _graph_report(p, build_graph(p), HAMPATH_CAP)
 
 
-def _graph_report(
-    p: Poset, g: TranspositionGraph, search_path: bool, path_cap: int
-) -> dict:
-    """``ruskey_report`` on the already built transposition graph g of p."""
+def _graph_report(p: Poset, g: TranspositionGraph, path_cap: int | None) -> dict:
+    """``ruskey_report`` on the already built transposition graph g of p;
+    with ``path_cap`` None it reports the graph facts and searches no
+    path."""
     plus, minus = part_sizes(g)
     si = abs(plus - minus)
     report = {
@@ -190,7 +190,7 @@ def _graph_report(
         "connected": is_connected(g),
         "bipartite_by_sign": all(g.signs[a] != g.signs[b] for a, b in g.edges),
     }
-    if search_path:
+    if path_cap is not None:
         path = hamiltonian_path(g, path_cap)
         report["path_found"] = path is not None
         report["consistent_with_conjecture"] = not (si <= 1 and path is None)

@@ -13,7 +13,6 @@ transitive closure is applied on read. Writers emit cover relations only,
 sorted lexicographically.
 """
 
-from .domino import DominoTableau
 from .errors import FormatError
 from .poset import Poset, from_covers
 
@@ -36,9 +35,11 @@ def _content_lines(text: str):
 
 def _int(token: str) -> int:
     """A plain decimal integer: ASCII digits with an optional leading
-    '-'. Python's ``int`` would also take '+3', '1_0' and other digits."""
+    '-'. Python's ``int`` would also take '+3', '1_0' and other digits.
+    The CLI lifts Python's limit on integer string conversion for its
+    answers, so this keeps that limit of 4,300 digits on input."""
     digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > 4300:
         raise ValueError(f"not a plain integer: {token!r}")
     return int(token)
 
@@ -93,7 +94,8 @@ def read_relation_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def write_tableau(t: DominoTableau) -> str:
+def write_tableau(t) -> str:
+    """A ``domino.DominoTableau`` as 'pair b t' lines, then 'single x'."""
     lines = [f"pair {b} {tp}" for b, tp in t.pairs]
     if t.singleton is not None:
         lines.append(f"single {t.singleton}")

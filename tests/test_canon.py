@@ -81,6 +81,20 @@ def test_canonical_form_against_brute_classes():
         assert len(forms) == len(oracle)
 
 
+def test_twins_are_the_transpositions_that_are_automorphisms():
+    # the twin rule of canonical_form and generate._children: swapping
+    # u and w fixes the order exactly when their up and down rows agree
+    rng = random.Random(13)
+    for n in range(2, 7):
+        for p in enumerate_posets(n):
+            for q in (p, p.relabel(rng.sample(range(n), n))):
+                for u, w in combinations(range(n), 2):
+                    swap = list(range(n))
+                    swap[u], swap[w] = w, u
+                    twins = q.up[u] == q.up[w] and q.down[u] == q.down[w]
+                    assert (q.relabel(swap) == q) == twins
+
+
 def test_highly_symmetric_inputs_stay_fast():
     # twin pruning keeps antichains and stacked antichains tractable
     canonical_form(antichain(11))

@@ -1,11 +1,14 @@
 import argparse
 import json
+import math
 
 import pytest
 
 from posetsi.cli import build_parser, main
 from posetsi.errors import PosetsiError, ResourceLimit, VerificationError
-from posetsi.textio import parse_family
+from posetsi.h2 import build_lift, good_base
+from posetsi.poset import chain
+from posetsi.textio import parse_family, write_poset
 from conftest import allow_cpus
 
 
@@ -188,6 +191,15 @@ def test_lift_with_relation_file(capsys, tmp_path):
     assert out.count("e ") == 6  # diagonal (3) + covers (2) + extra (1)
 
 
+def test_lift_json(capsys):
+    code, text, _ = run(capsys, "lift", "chain:3")
+    assert code == 0
+    assert text == write_poset(build_lift(chain(3), good_base(chain(3))))
+    code, out, _ = run(capsys, "lift", "chain:3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"poset": text}
+
+
 @pytest.mark.parametrize("pair", ["5 7", "-3 2"])
 def test_lift_rejects_pairs_outside_the_base(capsys, tmp_path, pair):
     rel = tmp_path / "extra.rel"
@@ -356,6 +368,32 @@ def test_integer_flags_take_plain_nonnegative_digits(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: not a nonnegative plain integer" in err
+
+
+def test_answers_past_the_default_digit_limit(capsys):
+    # 1700! has 4,755 digits; Python converts at most 4,300 by default
+    code, out, err = run(capsys, "count", "antichain:1700", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"e": str(math.factorial(1700))}
+
+
+def test_overlong_integer_tokens_rejected(capsys, tmp_path):
+    # input keeps the default limit of 4,300 digits
+    long = "1" * 4301
+    bad = tmp_path / "long.poset"
+    bad.write_text(f"n {long}\n")
+    code, out, err = run(capsys, "count", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: non-integer element")
+    code, out, err = run(capsys, "count", f"chain:{long}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad family arguments")
+    with pytest.raises(SystemExit) as exc:
+        main(["euler", "--max-n", long])
+    assert exc.value.code == 2
+    assert "not a nonnegative plain integer" in capsys.readouterr().err
+    code, out, _ = run(capsys, "count", "chain:" + "0" * 4299 + "3")
+    assert (code, out) == (0, "e = 1\n")
 
 
 def test_exit_code_cycle(capsys, tmp_path):

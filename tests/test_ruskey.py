@@ -18,7 +18,7 @@ from posetsi import (
     signed_count,
     zigzag,
 )
-from posetsi import linext
+from posetsi import linext, ruskey
 from posetsi.ruskey import TranspositionGraph, part_sizes
 
 
@@ -231,7 +231,8 @@ def test_report_examples(eight_cycle):
 
 def test_report_modes_stated():
     assert ruskey_report(chain(2))["mode"] == "any-transposition"
-    assert ruskey_report(chain(2), adjacent_only=True)["mode"] == "adjacent"
+    g = build_graph(chain(2), adjacent_only=True)
+    assert ruskey._graph_report(chain(2), g, None)["mode"] == "adjacent"
 
 
 def test_conjecture_sweep_tiny():
