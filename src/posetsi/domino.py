@@ -188,15 +188,21 @@ def _term(t: DominoTableau, q: Poset) -> tuple[int, int]:
     in canonical order have the same parity. The adapted count is e(q)
     for even n; for odd n the singleton part is forced to carry the top
     label, so it is e of q with that part removed."""
-    sgn = _parity([x for part in _parts(t) for x in part])
     if t.singleton is not None:
         q = q.subposet(range(q.n - 1))
-    return sgn, count_extensions(q)
+    return _sign(t), count_extensions(q)
+
+
+def _sign(t: DominoTableau) -> int:
+    """Parity of the elements of t's parts in canonical order."""
+    return _parity([x for part in _parts(t) for x in part])
 
 
 def tableau_sign(p: Poset, t: DominoTableau) -> int:
-    """Common sign of all extensions adapted to t."""
-    return _term(t, quotient(p, t))[0]
+    """Common sign of all extensions adapted to t; building the quotient
+    validates t."""
+    quotient(p, t)
+    return _sign(t)
 
 
 def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:

@@ -3,12 +3,13 @@
 E_n counts the linear extensions of the n-element zigzag poset (OEIS
 A000111 shifted to start at E_1 = 1). The table is computed by the
 boustrophedon recurrence with exact integers. The prime sweep streams
-the table once modulo the product of its candidate primes and drops each
-prime as soon as it divides a term; a modular variant backs the
-congruence check. For odd primes q and n > q the congruence
-E_n = E_q * E_{n-(q-1)} (mod q) reduces divisibility questions to the
-first q values; a guard window up to 3q is checked as well because the
-congruence fails for q = 2 (Euler parities alternate from n = 3 on).
+the table once, modulo the product of the primes still under test, and
+drops each prime as soon as it divides a term or leaves its window; a
+modular variant backs the congruence check. For odd primes q and n > q
+the congruence E_n = E_q * E_{n-(q-1)} (mod q) reduces divisibility
+questions to the first q values; a guard window up to 3q is checked as
+well because the congruence fails for q = 2 (Euler parities alternate
+from n = 3 on).
 """
 
 import math
@@ -71,15 +72,31 @@ def primes_never_dividing(bound: int) -> list[int]:
 
     For odd primes, q never dividing E_1..E_q is sufficient via the
     congruence; the window is still extended to 3q as a guard, which is
-    what correctly rejects q = 2 (E_3 = 2). One pass over
-    E_1..E_{3 max q}, reduced modulo the product of the candidate primes,
-    tests every prime still alive against each term; each residue mod q
-    is exact because q divides that modulus.
+    what correctly rejects q = 2 (E_3 = 2). One pass over E_1, E_2, ...
+    keeps the zigzag row modulo the product of the primes still under
+    test, those not yet dropped with 3q >= n; each residue mod q is exact
+    because q divides that modulus. When a prime leaves the test the row
+    is reduced modulo the smaller product, and the pass ends once no
+    prime is left. Entries stay below the modulus, so a sum of two is
+    reduced by one conditional subtraction.
     """
     if bound > 10**4:
         raise ResourceLimit("documented practical bound is 10^4")
-    alive = _primes_upto(bound)
-    terms = _boustrophedon(3 * max(alive, default=0), math.prod(alive))
-    for n, e in enumerate(terms, 1):
-        alive = [q for q in alive if 3 * q < n or e % q]
-    return alive
+    testing, passed = _primes_upto(bound), []
+    mod, row, n = math.prod(testing), [1], 0
+    while mod > 1:
+        n += 1
+        new, e = [0], 0
+        for x in reversed(row):
+            e += x
+            if e >= mod:
+                e -= mod
+            new.append(e)
+        row = new
+        left = [q for q in testing if 3 * q > n and e % q]
+        passed += [q for q in testing if 3 * q == n and e % q]
+        if len(left) < len(testing):
+            mod //= math.prod(set(testing).difference(left))
+            row = [x % mod for x in row]
+            testing = left
+    return passed

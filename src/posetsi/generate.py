@@ -22,17 +22,38 @@ largest key, and map the rest onto its listed representative; the image
 of down x is a down-set that passes the second rule. The twin
 permutation that moves it to prefixes is an automorphism of the parent,
 so it keeps every key and passes both rules. A height-2 class loses only
-height by the deletion, so the same holds for the height-2 lists. A
-global seen-set of canonical forms still drops the duplicates that pass,
-and the class counts are checked against known tables. Results are
-cached per size, for all classes and for those of height at most 2, for
-reuse across sweeps.
+height by the deletion, so the same holds for the height-2 lists.
+
+A third rule decides which children need a canonical form. Call a child
+alone when its new element x is the only maximal element with the
+largest key, and tied otherwise. An alone child can repeat only an
+alone sibling from the same parent P whose down-set D' lies in the
+Aut(P)-orbit of its own down-set D:
+
+1. Keys are invariant, so being alone is an isomorphism invariant, and
+   an isomorphism between two alone children sends x to x'.
+2. Deleting x and x' gives isomorphic parents. The listed parents are
+   pairwise non-isomorphic, so both children have the same parent P,
+   and the isomorphism restricts to an automorphism of P that maps D
+   onto D'.
+3. An alone child and a tied child are never isomorphic, since the
+   number of maximal elements with the largest key differs.
+
+Refined colours are invariant under automorphisms, so the alone
+siblings are put into buckets keyed by the sorted colours of P over D,
+with the colours computed once per parent. A canonical form is computed
+only when a bucket already holds a child, and the first child of each
+class is kept. Tied children keep a seen-set of canonical forms per
+level. The kept representatives and their order are those a seen-set
+over every child would keep, and the class counts are checked against
+known tables. Results are cached per size, for all classes and for those
+of height at most 2, for reuse across sweeps.
 """
 
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .canon import canonical_form
+from .canon import _refined_colors, canonical_form
 from .errors import VerificationError
 from .linext import _layers
 from .poset import Poset, iter_bits, stats
@@ -64,10 +85,11 @@ def _key(p: Poset, below: int) -> tuple:
     )
 
 
-def _children(rep: Poset, height2: bool) -> Iterator[Poset]:
+def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]:
     """Children of ``rep`` that pass the twin-orbit and canonical-deletion
-    rules; every class on rep.n + 1 elements is among the children of its
-    listed parent."""
+    rules, each with its bucket: the sorted colours of rep over the
+    down-set for an alone child, None for a tied one. Every class on
+    rep.n + 1 elements is among the children of its listed parent."""
     if height2:
         # new maximal element over minimal elements only keeps height <= 2
         choices: Iterable[int] = _submasks(rep.minimal_mask)
@@ -84,12 +106,36 @@ def _children(rep: Poset, height2: bool) -> Iterator[Poset]:
         ((_key(rep, rep.down[x]), 1 << x) for x in range(rep.n) if not rep.up[x]),
         reverse=True,
     )
+    colors = _refined_colors(rep)
     for down_mask in choices:
         if any(down_mask & hi and not down_mask & lo for lo, hi in steps):
             continue
         rival = next((k for k, bit in maxima if not down_mask & bit), None)
-        if rival is None or rival <= _key(rep, down_mask):
-            yield rep.add_maximal(down_mask)
+        key = _key(rep, down_mask)
+        if rival is None or rival < key:
+            bucket = tuple(sorted(colors[i] for i in iter_bits(down_mask)))
+            yield rep.add_maximal(down_mask), bucket
+        elif rival == key:
+            yield rep.add_maximal(down_mask), None
+
+
+def _kept(rep: Poset, height2: bool, seen: set[bytes]) -> Iterator[Poset]:
+    """The children of ``rep`` that are the first of their class: an alone
+    child is compared only with the kept children of its bucket, a tied
+    one with the forms in ``seen``, the level's tied classes so far."""
+    buckets: dict[tuple, list[Poset]] = {}
+    for cand, bucket in _children(rep, height2):
+        if bucket is None:
+            key = canonical_form(cand)
+            if key in seen:
+                continue
+            seen.add(key)
+        else:
+            kept = buckets.setdefault(bucket, [])
+            if kept and canonical_form(cand) in map(canonical_form, kept):
+                continue
+            kept.append(cand)
+        yield cand
 
 
 @lru_cache(maxsize=None)
@@ -98,14 +144,8 @@ def _classes(n: int, height2: bool) -> tuple[Poset, ...]:
     most 2."""
     if n == 0:
         return (Poset(0, ()),)
-    out: list[Poset] = []
     seen: set[bytes] = set()
-    for rep in _classes(n - 1, height2):
-        for cand in _children(rep, height2):
-            key = canonical_form(cand)
-            if key not in seen:
-                seen.add(key)
-                out.append(cand)
+    out = [c for rep in _classes(n - 1, height2) for c in _kept(rep, height2, seen)]
     table = H2_CLASS_COUNTS if height2 else CLASS_COUNTS
     if n < len(table) and len(out) != table[n]:
         kind = "height-2 classes" if height2 else "classes"

@@ -50,14 +50,14 @@ def good_base(p: Poset) -> GoodSet:
 
 
 def _validate_good(p: Poset, rel: GoodSet) -> None:
-    for x, y in rel:
+    for x, y in sorted(rel):
         if not (0 <= x < p.n and 0 <= y < p.n):
             raise BadGoodSet(f"pair ({x}, {y}) is outside 0..{p.n - 1}")
     base = good_base(p)
     if not base <= rel:
         missing = sorted(base - rel)[0]
         raise BadGoodSet(f"missing diagonal or cover pair {missing}")
-    for x, y in rel - base:
+    for x, y in sorted(rel - base):
         if not p.lt(x, y):
             raise BadGoodSet(f"pair ({x}, {y}) leaves the order")
 

@@ -210,6 +210,15 @@ def test_lift_rejects_pairs_outside_the_base(capsys, tmp_path, pair):
     assert err.startswith(f"error: pair ({pair.replace(' ', ', ')}) is outside 0..2")
 
 
+def test_lift_names_the_smallest_bad_pair(capsys, tmp_path):
+    rel = tmp_path / "extra.rel"
+    for pairs in ("1 0\n5 3\n", "5 3\n1 0\n"):
+        rel.write_text(pairs)
+        code, out, err = run(capsys, "lift", "chain:6", "--rel", str(rel))
+        assert code == 2
+        assert err.startswith("error: pair (1, 0) leaves the order")
+
+
 def test_h2sb(capsys):
     code, out, _ = run(capsys, "h2sb", "antichain:4", "--k", "1", "--json")
     assert code == 0

@@ -10,6 +10,7 @@ from posetsi import (
     antichain,
     canonical_form,
     chain,
+    disjoint_union,
     enumerate_posets,
     from_covers,
     is_isomorphic,
@@ -186,5 +187,52 @@ def test_pruned_step_is_sound_under_relabelling():
                 perm = list(range(p.n))
                 rng.shuffle(perm)
                 q = p.relabel(perm)
-                got = {canonical_form(c) for c in generate._children(q, height2)}
+                got = {canonical_form(c) for c, _ in generate._children(q, height2)}
                 assert got == want
+
+
+def seen_set_classes(nmax, height2):
+    """Class lists per size as a seen-set of canonical forms over every
+    child that passes the twin and deletion rules keeps them."""
+    levels = [[Poset(0, ())]]
+    for _ in range(nmax):
+        seen, level = set(), []
+        for rep in levels[-1]:
+            for child, _ in generate._children(rep, height2):
+                form = canonical_form(child)
+                if form not in seen:
+                    seen.add(form)
+                    level.append(child)
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("height2, nmax", [(False, 7), (True, 8)])
+def test_buckets_keep_what_a_seen_set_keeps(height2, nmax):
+    want = seen_set_classes(nmax, height2)
+    for n in range(nmax + 1):
+        got = generate._classes(n, height2)
+        assert [p.up for p in got] == [p.up for p in want[n]]
+
+
+CROWN3 = from_covers(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
+TWO_FENCES = disjoint_union(zigzag(4), zigzag(4))
+
+
+@pytest.mark.parametrize(
+    "parent, height2",
+    [(zigzag(5), False), (CROWN3, False), (TWO_FENCES, False), (TWO_FENCES, True)],
+    ids=["zigzag5", "crown3", "two-fences", "two-fences-h2"],
+)
+def test_bucket_collisions_keep_one_child_per_class(parent, height2):
+    # a reflection, a rotation or a swap of components is an automorphism
+    # that permutes no twins, so isomorphic alone children share a bucket
+    buckets = {}
+    for child, bucket in generate._children(parent, height2):
+        keys = sorted(deletion_key(child, x) for x in range(child.n) if not child.up[x])
+        assert (bucket is None) == (keys.count(keys[-1]) > 1)
+        buckets.setdefault(bucket, []).append(canonical_form(child))
+    assert any(len(set(f)) < len(f) for b, f in buckets.items() if b is not None)
+    kept = [canonical_form(c) for c in generate._kept(parent, height2, set())]
+    assert len(kept) == len(set(kept))
+    assert set(kept) == {f for forms in buckets.values() for f in forms}

@@ -63,6 +63,21 @@ def test_bad_good_sets():
         build_lift(p, good_base(p) | {(-3, 2)})
 
 
+def test_bad_good_set_names_its_smallest_pair():
+    # equal sets built in different orders can iterate differently
+    p = chain(6)
+    for bad, msg in (
+        ([(1, 0), (5, 3), (4, 2)], r"pair \(1, 0\) leaves the order"),
+        ([(9, 0), (7, 8), (-1, 3)], r"pair \(-1, 3\) is outside 0\.\.5"),
+    ):
+        a = frozenset([*good_base(p), *bad])
+        b = frozenset([*bad[::-1], *sorted(good_base(p), reverse=True)])
+        assert a == b
+        for rel in (a, b):
+            with pytest.raises(BadGoodSet, match=msg):
+                build_lift(p, rel)
+
+
 def test_lift_of_point_is_two_chain():
     lifted = build_lift(chain(1), good_base(chain(1)))
     assert lifted == chain(2) or is_isomorphic(lifted, chain(2))
