@@ -11,7 +11,7 @@ figure.
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from . import domino, h2, linext, ruskey
 from .canon import is_isomorphic
@@ -32,12 +32,11 @@ from .poset import Poset, from_covers, grid, zigzag
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     ok: bool
-    details: list[str] = field(default_factory=list)
+    details: Sequence[str] = ()
     known_defect: bool = False
 
     @property

@@ -270,20 +270,7 @@ def _cmd_verify_all(args) -> int:
 
     results = acceptance.run_all()
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "number": r.number,
-                        "title": r.title,
-                        "ok": r.ok,
-                        "known_defect": r.known_defect,
-                        "details": r.details,
-                    }
-                    for r in results
-                ]
-            )
-        )
+        print(json.dumps([r._asdict() for r in results]))
     else:
         for r in results:
             print(f"{r.number:>2} {r.status:<24} {r.title}")

@@ -80,6 +80,8 @@ def primes_never_dividing(bound: int) -> list[int]:
     prime is left. Entries stay below the modulus, so a sum of two is
     reduced by one conditional subtraction.
     """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     if bound > 10**4:
         raise ResourceLimit("documented practical bound is 10^4")
     testing, passed = _primes_upto(bound), []

@@ -163,10 +163,11 @@ def enumerate_posets(n: int, max_height: int | None = None) -> Iterator[Poset]:
     also a post-filter. Practical bound is n <= 8 for the full lattice of
     classes.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     height2 = max_height is not None and max_height <= 2
-    for p in _classes(n, height2):
-        if max_height in (None, 2) or stats(p).height <= max_height:
-            yield p
+    every = max_height in (None, 2)
+    return (p for p in _classes(n, height2) if every or stats(p).height <= max_height)
 
 
 def poset_class_count(n: int, max_height: int | None = None) -> int:

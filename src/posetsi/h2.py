@@ -9,9 +9,8 @@ the lift's forced (bottom, top) pairs in one pass over its Hasse diagram.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .canon import is_isomorphic
 from .errors import BadGoodSet, HeightExceeded, VerificationError
@@ -36,8 +35,7 @@ __all__ = [
 GoodSet = frozenset  # pairs (x, y) over base elements, diagonal included
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     kind: str  # "sign_balanced" | "lift" | "lift_plus_isolated"
     base: Poset | None = None
     rel: GoodSet | None = None

@@ -8,7 +8,7 @@ integers. Every edge joins extensions of opposite sign, so the graph is
 bipartite by sign and the part sizes differ by exactly the imbalance.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ResourceLimit
 from .linext import _parity, enumerate_extensions
@@ -32,13 +32,12 @@ GRAPH_CAP = 10**4
 HAMPATH_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class TranspositionGraph:
+class TranspositionGraph(NamedTuple):
     vertices: tuple[tuple[int, ...], ...]  # label arrays, lexicographic
     edges: tuple[tuple[int, int], ...]
     signs: tuple[int, ...]
     adjacent_only: bool
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    adjacency: tuple[tuple[int, ...], ...]  # neighbours of each vertex, sorted
 
 
 def build_graph(

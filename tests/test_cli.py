@@ -620,6 +620,7 @@ def test_verify_all_reports_known_defect(capsys):
     assert code == 1  # the q = 2 congruence criterion cannot pass
     results = json.loads(out)
     assert len(results) == 14
+    assert list(results[0]) == ["number", "title", "ok", "details", "known_defect"]
     by_number = {r["number"]: r for r in results}
     failing = [r for r in results if not r["ok"]]
     assert [r["number"] for r in failing] == [13]

@@ -482,6 +482,19 @@ def test_antichain_three_not_three_adapted():
     assert count_mod(p, 3) == 0  # consistent with the divisibility lemma
 
 
+def test_block_connectivity_matches_hasse_components():
+    from posetsi import stats
+
+    blocks = 0
+    for n in range(7):
+        for p in enumerate_posets(n):
+            for block in range(1, 1 << n):
+                sub = p.subposet(list(iter_bits(block)))
+                assert domino._connected(p, block) == (stats(sub).components <= 1)
+                blocks += 1
+    assert blocks == 22269
+
+
 def test_q_adapted_existence_sweep():
     for n in range(6):
         for p in enumerate_posets(n):

@@ -90,3 +90,8 @@ def test_known_divisible_primes_excluded():
 def test_bound_guard():
     with pytest.raises(ResourceLimit):
         primes_never_dividing(10**5)
+
+
+def test_never_dividing_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        primes_never_dividing(-1)

@@ -65,6 +65,13 @@ def test_empty_size():
     assert empty.n == 0
 
 
+def test_negative_size_is_rejected():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        enumerate_posets(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        poset_class_count(-1, max_height=2)
+
+
 @pytest.fixture
 def own_class_cache(monkeypatch):
     """Generation on an empty cache of its own for one test, so that the

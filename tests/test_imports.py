@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import posetsi
@@ -55,3 +57,18 @@ def test_module_import_graph():
         for path in sorted(src.glob("*.py"))
     }
     assert got == want
+
+
+def test_cli_query_imports_no_dataclasses_or_inspect():
+    # -S: the host's site hooks may import either module themselves
+    src = str(Path(posetsi.__file__).parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from posetsi.cli import main; "
+        "main(['count', 'chain:1', '--json']); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, src],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
