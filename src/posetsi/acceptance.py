@@ -70,14 +70,16 @@ def criterion_2() -> CriterionResult:
             count_extensions(domino.quotient(p, t)) for t in tabs
         )
         signs = sorted(domino.tableau_sign(p, t) for t in tabs)
-        si_q = domino.si_via_quotients(p)
-        si_dp = signed_count(p).imbalance
+        signed_q = domino.si_via_quotients(p)
+        signed_dp = signed_count(p).signed
         details += [
             f"quotient extension counts: {counts} (want [2, 4])",
             f"tableau signs: {signs} (want [-1, 1])",
-            f"si: quotient route {si_q}, signed DP {si_dp} (want 2)",
+            f"si: quotient route {abs(signed_q)}, signed DP {abs(signed_dp)} "
+            "(want 2, with one sign)",
         ]
-        ok = counts == [2, 4] and signs == [-1, 1] and si_q == si_dp == 2
+        ok = counts == [2, 4] and signs == [-1, 1] and signed_q == signed_dp
+        ok = ok and abs(signed_q) == 2
     return CriterionResult(
         2, "eight-cycle: two tableaux, quotient counts {4, 2}, si = 2", ok, details
     )
@@ -88,7 +90,7 @@ def _c3_worker(p: Poset) -> bool:
     sc = signed_count(p)
     return (
         (total, signed) == (sc.total, sc.signed)
-        and sc.imbalance == domino.si_via_quotients(p)
+        and sc.signed == domino.si_via_quotients(p)
     )
 
 

@@ -5,6 +5,10 @@ grid:m:n), as files in the line-oriented text format, or as '-' for
 standard input. Exit codes: 0 success, 1 verification failure, 2
 malformed input, 3 resource cap exceeded or out of memory or recursion
 depth.
+
+``count`` and ``si`` take the cheapest sound route, by ``plan``. ``si``
+names it, checks it against the quotient route and, under the
+enumeration cap, brute force, and with ``--check`` the signed walk.
 """
 
 import argparse
@@ -19,7 +23,6 @@ from .linext import (
     ENUM_CAP,
     _enumerated_signed,
     count_extensions,
-    forest_count,
     signed_count,
 )
 from .poset import Poset
@@ -51,39 +54,52 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_count(args) -> int:
+    from . import plan  # imported here: only count and si plan a route
+
     p = _load_poset(args.poset)
-    sc = forest_count(p)
-    e = count_extensions(p, downset_cap=args.downset_cap) if sc is None else sc.total
+    e, _ = plan.e(p, args.downset_cap)
     _emit(args, {"e": str(e)}, [f"e = {e}"])
     return 0
 
 
 def _cmd_si(args) -> int:
-    p = _load_poset(args.poset)
-    sc, route = forest_count(p), "forest DP"
-    if sc is None:
-        sc, route = signed_count(p, downset_cap=args.downset_cap), "signed DP"
-    brute = None
-    if sc.total <= args.enum_cap:
-        count, signed = _enumerated_signed(p, cap=args.enum_cap)
-        brute = abs(signed)
-    quot = domino.si_via_quotients(p, downset_cap=args.downset_cap)
+    from . import plan
+
+    p, cap = _load_poset(args.poset), args.downset_cap
+    signed, e, route = plan.signed(p, cap)
+    # e stays uncounted after the height-2 inverse: its walk is what runs
+    # out of memory on lifts
+    if e is None and "height-2" not in route:
+        e, _ = plan.e(p, cap)
+    walk = signed_count(p, downset_cap=cap) if args.check else None
+    e = walk.total if e is None and walk else e
+    count = brute = None
+    if e is not None and e <= args.enum_cap:
+        count, brute = _enumerated_signed(p, cap=args.enum_cap)
+    # the quotient route on the whole poset, which the planner may have run
+    quot = signed if route == "quotient" else domino.si_via_quotients(p, cap)
     payload = {
-        "e": str(sc.total),
-        "signed": str(sc.signed),
-        "si": str(sc.imbalance),
-        "si_brute": None if brute is None else str(brute),
-        "si_quotient": str(quot),
+        "e": None if e is None else str(e),
+        "signed": str(signed),
+        "si": str(abs(signed)),
+        "si_brute": None if brute is None else str(abs(brute)),
+        "si_quotient": str(abs(quot)),
+        "route": route,
     }
+    skipped = "skipped: " + ("e not counted" if e is None else "over enumeration cap")
     lines = [
-        f"e = {sc.total}",
-        f"signed sum = {sc.signed}",
-        f"si ({route}) = {sc.imbalance}",
-        f"si (brute force) = {'skipped: over enumeration cap' if brute is None else brute}",
-        f"si (quotient route) = {quot}",
+        f"e = {'not counted' if e is None else e}",
+        f"signed sum = {signed}",
+        f"si ({route}) = {abs(signed)}",
+        f"si (brute force) = {skipped if brute is None else abs(brute)}",
+        f"si (quotient route) = {abs(quot)}",
     ]
-    agree = {sc.imbalance, quot} | ({brute} if brute is not None else set())
-    if len(agree) > 1 or (brute is not None and count != sc.total):
+    others = [(e, quot)] + ([(count, brute)] if brute is not None else [])
+    if walk:
+        others.append(walk[:2])
+        payload["si_walk"] = str(walk.imbalance)
+        lines.append(f"si (signed walk) = {walk.imbalance}")
+    if any(other != (e, signed) for other in others):
         _emit(args, payload, lines + ["MISMATCH between routes"])
         return 1
     _emit(args, payload, lines)
@@ -323,21 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = common(sub.add_parser("count", help="number of linear extensions"))
     _add_poset_arg(s)
-    downset_cap(s, "it bounds only the walk, which Hasse forests skip")
+    downset_cap(s, "it bounds only the walk, on each part that is no Hasse forest")
     s.set_defaults(func=_cmd_count)
 
-    s = common(sub.add_parser("si", help="sign imbalance by three routes"))
+    s = common(sub.add_parser("si", help="sign imbalance by several routes"))
     _add_poset_arg(s)
     downset_cap(
         s,
-        "it bounds each of two walks: the signed DP's, which Hasse forests "
-        "skip, and the quotient route's, over the down-sets of even size "
-        "that dominoes reach",
+        "it bounds each walk: the quotient route's, over the down-sets of "
+        "even size that dominoes reach, the walk that counts e, and with "
+        "--check the signed walk",
     )
     s.add_argument(
         "--enum-cap", type=_nonnegative, default=ENUM_CAP,
         help="enumerate extensions for the brute-force route only when "
         "e is at most this",
+    )
+    s.add_argument(
+        "--check", action="store_true",
+        help="also run the signed walk over every down-set",
     )
     s.set_defaults(func=_cmd_si)
 

@@ -12,8 +12,9 @@ pairs between parts. Listing the tableaux (``enumerate_tableaux``, CLI
 builds each one's quotient once, and ``_term`` reads the sign of a
 tableau from its pairs and its adapted count from the quotient, with no
 label array. ``si_via_quotients`` sums the same terms without listing
-them: one signed walk over the down-sets that sequences of dominoes
-reach, bounded by a down-set cap, not by ``MATCHING_CAP``."""
+them, to the signed sum over all extensions: one signed walk over the
+down-sets that sequences of dominoes reach, bounded by a down-set cap,
+not by ``MATCHING_CAP``."""
 
 from typing import Iterator, NamedTuple
 
@@ -206,8 +207,9 @@ def tableau_sign(p: Poset, t: DominoTableau) -> int:
 
 
 def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
-    """Sign imbalance as |sum over tableaux T of sgn(T) * e(P_T)|, with
-    e(P_T) the number of extensions adapted to T (see ``_term``).
+    """The signed sum over all extensions, as the sum over tableaux T of
+    sgn(T) * e(P_T), with e(P_T) the number of extensions adapted to T
+    (see ``_term``); its absolute value is the sign imbalance.
 
     The extensions adapted to some tableau are exactly the fixed points
     of ``linext.phi``: labels 2i - 1 and 2i on comparable elements sit on
@@ -281,13 +283,13 @@ def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
                 nxt[new] = inc | child
         cur = nxt
     if not n & 1:
-        return abs(cur.get(full, 0) >> n)
+        return cur.get(full, 0) >> n
     total = 0
     for mask, val in cur.items():
         last = full ^ mask
         ways = val >> n
         total += -ways if (mask >> last.bit_length()).bit_count() & 1 else ways
-    return abs(total)
+    return total
 
 
 def _connected(p: Poset, block: int) -> bool:

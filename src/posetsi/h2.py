@@ -40,6 +40,7 @@ class Decomposition(NamedTuple):
     base: Poset | None = None
     rel: GoodSet | None = None
     isolated: int | None = None
+    pairs: tuple[tuple[int, int], ...] | None = None  # (bottom, top), by bottom
 
 
 def good_base(p: Poset) -> GoodSet:
@@ -106,11 +107,12 @@ def decompose(q: Poset) -> Decomposition:
     """Invert the lift on a height-<=2 poset, or certify sign balance.
 
     Not sign-balanced iff n mod 2 elements are isolated and the rest have
-    a unique Hasse perfect matching, found by ``_forced_pairs``. Sorted by
-    bottom, its pairs are the parts of the base: part i lies below part j
-    iff bottom i lies below top j. That relation is acyclic, since a cycle
-    would be an alternating cycle, and swapping along it would give a
-    second perfect matching.
+    a unique Hasse perfect matching, found by ``_forced_pairs`` and kept
+    as ``pairs``. Sorted by bottom, its pairs are the parts of the base:
+    part i lies below part j iff bottom i lies below top j. That relation
+    is acyclic, since a cycle would be an alternating cycle, and swapping
+    along it would give a second perfect matching. So the pairs, with the
+    isolated element as the singleton, are the one domino tableau.
     """
     height = stats(q).height
     if height > 2:
@@ -128,9 +130,9 @@ def decompose(q: Poset) -> Decomposition:
         for top in iter_bits(q.up[bot])
     )
     base = from_covers(len(pairs), [(i, j) for i, j in rel if i != j])
-    if iso:
-        return Decomposition("lift_plus_isolated", base, rel, iso.bit_length() - 1)
-    return Decomposition("lift", base, rel)
+    kind = "lift_plus_isolated" if iso else "lift"
+    isolated = iso.bit_length() - 1 if iso else None
+    return Decomposition(kind, base, rel, isolated, tuple(pairs))
 
 
 def h2sb_decide(q: Poset, k: int) -> bool:

@@ -15,8 +15,7 @@ against the others:
   new elements over.
 - The forest route, ``forest_count``, takes O(n^2) big-integer steps
   when the Hasse diagram is a forest (fences, chains, antichains, trees)
-  and declines every other poset. CLI ``count`` and ``si`` take it
-  whenever it applies, and walk otherwise. The public counts and every
+  and declines every other poset. The public counts and every
   criterion but the Euler table check keep to the walk.
 - Brute enumeration, ``_extension_orders``, a depth-first walk on an
   explicit stack that stores no down-sets. ``_enumerated_signed``
@@ -26,6 +25,10 @@ against the others:
   walk over the down-sets of even size that they reach; it shares
   ``_upper_covers``, the sign rule below and the cap's error with
   ``_layers``.
+
+``count_extensions``, ``signed_count`` and ``count_mod`` are the walk by
+name; CLI ``count`` and ``si`` pick a route by ``plan.e`` and
+``plan.signed``.
 
 Each stored down-set of the walk keeps one int that packs its count
 (its even and odd ways, when signed) above its addable set, the minimal

@@ -53,6 +53,8 @@ class Poset:
     __slots__ = ("n", "up", "down", "cover_up", "_canon")
 
     def __init__(self, n: int, up: tuple[int, ...]):
+        if n < 0:  # inline: the census builds posets by the hundred thousand
+            raise ValueError("n must be nonnegative")
         self.n = n
         self.up = up
         down = [0] * n
@@ -132,12 +134,12 @@ class Poset:
         """Induced subposet; element k of the result is ``elements[k]``."""
         elems = list(elements)
         pos = {e: k for k, e in enumerate(elems)}
+        inside = sum(1 << e for e in pos)
         up = []
         for e in elems:
             m = 0
-            for j in iter_bits(self.up[e]):
-                if j in pos:
-                    m |= 1 << pos[j]
+            for j in iter_bits(self.up[e] & inside):
+                m |= 1 << pos[j]
             up.append(m)
         return Poset(len(elems), tuple(up))
 
@@ -161,13 +163,19 @@ class Poset:
         return Poset(v + 1, tuple(up))
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 def from_covers(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Transitive closure of the pairs (u, v) meaning u < v.
 
     Input pairs need not be covers; covers are recomputed after closure.
     Raises :class:`CycleError` if the pairs contain a directed cycle and
-    ``ValueError`` for out-of-range or reflexive pairs.
+    ``ValueError`` for a negative n and for out-of-range or reflexive pairs.
     """
+    _check_size(n)
     adj = [0] * n
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -204,6 +212,7 @@ def from_covers(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
 
 def chain(n: int) -> Poset:
     """Total order 0 < 1 < ... < n-1."""
+    _check_size(n)
     full = (1 << n) - 1
     return Poset(n, tuple(full & ~((1 << (i + 1)) - 1) for i in range(n)))
 
@@ -215,12 +224,15 @@ def antichain(n: int) -> Poset:
 def zigzag(n: int) -> Poset:
     """Fence 0 < 1 > 2 < 3 > ..., indexed along the zigzag: each even
     element lies below its neighbours, and no other pair is related."""
+    _check_size(n)
     full = (1 << n) - 1
     return Poset(n, tuple(0 if i % 2 else 0b101 << i >> 1 & full for i in range(n)))
 
 
 def grid(m: int, n: int) -> Poset:
     """Componentwise order on {0..m-1} x {0..n-1}; element (i, j) is i*n + j."""
+    _check_size(m)
+    _check_size(n)
     pairs = []
     for i in range(m):
         for j in range(n):

@@ -34,6 +34,7 @@ def test_si_reports_all_routes(capsys):
         "si": "1",
         "si_brute": "1",
         "si_quotient": "1",
+        "route": "forest",
     }
 
 
@@ -440,16 +441,18 @@ def test_fences_past_the_walk(capsys):
         "si": "1",
         "si_brute": None,
         "si_quotient": "1",
+        "route": "forest",
     }
 
 
 def test_si_names_its_route(capsys):
     code, out, _ = run(capsys, "si", "zigzag:6")
     assert code == 0
-    assert "si (forest DP) = 1" in out.splitlines()
+    assert "si (forest) = 1" in out.splitlines()
+    # grid:2:3 is its two corners in an ordinal sum with an N, a fence
     code, out, _ = run(capsys, "si", "grid:2:3")
     assert code == 0
-    assert "si (signed DP) = 1" in out.splitlines()
+    assert "si (split + forest) = 1" in out.splitlines()
 
 
 def test_domino_matching_cap(capsys, monkeypatch, tmp_path, eight_cycle):
@@ -492,7 +495,7 @@ def test_option_inventory():
     # every flag of every subcommand; a new flag belongs in this table
     want = {
         "count": ["--downset-cap", "--json"],
-        "si": ["--downset-cap", "--enum-cap", "--json"],
+        "si": ["--check", "--downset-cap", "--enum-cap", "--json"],
         "domino": ["--json"],
         "lift": ["--json", "--rel"],
         "decompose": ["--json"],
@@ -536,10 +539,103 @@ def test_exit_code_recursion(capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("posetsi.cli.count_extensions", too_deep)
-    code, _, err = run(capsys, "count", "grid:2:2")
+    # grid:3:3 less its corners is neither split nor a forest: it takes the walk
+    monkeypatch.setattr("posetsi.plan.count_extensions", too_deep)
+    code, _, err = run(capsys, "count", "grid:3:3")
     assert code == 3
     assert "RecursionError" in err
+
+
+def _random_lift():
+    """The lift over the good base of a random order on 16 elements, each
+    pair i < j related with probability 0.12; it is no Hasse forest."""
+    import random
+
+    from posetsi.poset import from_covers
+
+    rng = random.Random(3)
+    pairs = [(i, j) for i in range(16) for j in range(i + 1, 16) if rng.random() < 0.12]
+    base = from_covers(16, pairs)
+    return build_lift(base, good_base(base))
+
+
+def test_si_on_lifts_in_bounded_memory(capsys, tmp_path):
+    # the signed walk on either lift runs out of time or of memory
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import posetsi
+
+    def one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code, out, _ = run(capsys, "lift", "grid:2:30")
+    assert code == 0
+    grid_lift = tmp_path / "grid.poset"
+    grid_lift.write_text(out)
+    random_lift = tmp_path / "random.poset"
+    random_lift.write_text(write_poset(_random_lift()))
+    src = str(Path(posetsi.__file__).parents[1])
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from posetsi.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    for path, si in ((grid_lift, 3814986502092304), (random_lift, 2636088000)):
+        done = subprocess.run(
+            [sys.executable, "-c", script, src, "si", str(path), "--json"],
+            capture_output=True, text=True, timeout=30, preexec_fn=one_gib,
+        )
+        assert done.returncode == 0, done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["si"] == rep["si_quotient"] == str(si)
+        assert rep["e"] is None and "height-2" in rep["route"]
+
+
+def test_si_check_runs_the_signed_walk(capsys, tmp_path):
+    code, out, _ = run(capsys, "si", "grid:3:4", "--check", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["signed"] == "-2" and rep["si"] == rep["si_walk"] == "2"
+    assert rep["e"] == "462" and rep["route"] == "split + quotient"
+    # a lift of chain(3) whose Hasse diagram has a cycle: the height-2
+    # inverse leaves e uncounted, and the walk counts it
+    path = tmp_path / "lift.poset"
+    path.write_text(write_poset(build_lift(chain(3), good_base(chain(3)) | {(0, 2)})))
+    code, out, _ = run(capsys, "si", str(path), "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["e"], rep["si"], rep["route"]) == (None, "1", "height-2")
+    code, out, _ = run(capsys, "si", str(path), "--check", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["e"], rep["si_walk"], rep["si_brute"]) == ("57", "1", "1")
+
+
+def test_si_check_reports_a_walk_that_disagrees(capsys, monkeypatch):
+    from posetsi import cli
+    from posetsi.linext import SignedCount
+
+    def wrong_sign(p, downset_cap):
+        return SignedCount(462, 2, 2)
+
+    monkeypatch.setattr(cli, "signed_count", wrong_sign)
+    code, out, _ = run(capsys, "si", "grid:3:4", "--check")
+    assert code == 1
+    assert "si (signed walk) = 2" in out and out.endswith("MISMATCH between routes\n")
+
+
+def test_si_compares_signed_sums(capsys, monkeypatch):
+    # the quotient route's absolute value agrees; its sign does not
+    from posetsi import domino
+
+    real = domino.si_via_quotients
+    monkeypatch.setattr(domino, "si_via_quotients", lambda p, downset_cap: -real(p))
+    code, out, _ = run(capsys, "si", "zigzag:6", "--json")
+    assert code == 1
+    rep = json.loads(out.splitlines()[0])
+    assert rep["si"] == rep["si_quotient"] == "1"
 
 
 def test_si_long_chain(capsys):
@@ -573,8 +669,8 @@ def test_exit_code_memory(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("posetsi.cli.count_extensions", exhausted)
-    code, _, err = run(capsys, "count", "grid:2:2")
+    monkeypatch.setattr("posetsi.plan.count_extensions", exhausted)
+    code, _, err = run(capsys, "count", "grid:3:3")
     assert code == 3
     assert "MemoryError" in err
 

@@ -181,7 +181,7 @@ def test_si_via_quotients_validates_no_labels(monkeypatch):
         return original(p, labels)
 
     monkeypatch.setattr(linext, "_validate", counting)
-    assert si_via_quotients(grid(3, 4)) == signed_count(grid(3, 4)).imbalance
+    assert si_via_quotients(grid(3, 4)) == signed_count(grid(3, 4)).signed == -2
     assert calls == 0
 
 
@@ -268,9 +268,9 @@ def test_cover_matchings_of_a_long_chain():
 
 
 def _tableau_sum(p):
-    """|sum over the listed tableaux of sign times adapted count|."""
+    """The sum over the listed tableaux of sign times adapted count."""
     terms = (domino._term(t, quotient(p, t)) for t in enumerate_tableaux(p))
-    return abs(sum(sgn * count for sgn, count in terms))
+    return sum(sgn * count for sgn, count in terms)
 
 
 def test_matching_cap(monkeypatch, eight_cycle):
@@ -414,7 +414,7 @@ def _adapted_to(p, labels, t):
 def test_quotient_route_matches_signed_dp():
     for n in range(7):
         for p in enumerate_posets(n):
-            assert si_via_quotients(p) == signed_count(p).imbalance
+            assert si_via_quotients(p) == signed_count(p).signed
 
 
 def test_quotient_walk_matches_the_tableau_sum():

@@ -38,8 +38,8 @@ def test_module_import_graph():
         },
         "canon": {"poset"},
         "cli": {
-            "acceptance", "domino", "errors", "euler", "h2", "linext", "poset",
-            "ruskey", "textio",
+            "acceptance", "domino", "errors", "euler", "h2", "linext", "plan",
+            "poset", "ruskey", "textio",
         },
         "domino": {"errors", "linext", "poset"},
         "errors": set(),
@@ -47,6 +47,7 @@ def test_module_import_graph():
         "generate": {"canon", "errors", "linext", "poset"},
         "h2": {"canon", "errors", "generate", "linext", "poset"},
         "linext": {"errors", "poset"},
+        "plan": {"domino", "h2", "linext", "poset"},
         "poset": {"errors"},
         "ruskey": {"errors", "linext", "poset"},
         "textio": {"errors", "poset"},

@@ -202,3 +202,23 @@ def test_zero_size_families():
         assert p.n == 0
         assert count_extensions(p) == 1
     assert zigzag(1).n == 1 and zigzag(2) == chain(2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poset(-1, ()),
+        lambda: from_covers(-1, []),
+        lambda: antichain(-1),
+        lambda: chain(-1),
+        lambda: zigzag(-1),
+        lambda: grid(-1, 2),
+        lambda: grid(2, -1),
+        lambda: grid(-1, -2),  # m * n = 2 would pass a check on the product
+    ],
+    ids=["Poset", "from_covers", "antichain", "chain", "zigzag", "grid_rows",
+         "grid_columns", "grid_both"],
+)
+def test_negative_size_is_rejected(build):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        build()
