@@ -7,12 +7,13 @@ malformed input, 3 resource cap exceeded or out of memory or recursion
 depth.
 
 ``count`` and ``si`` take the cheapest sound route, by ``plan``. ``si``
-names it, checks it against the quotient route and, under the
-enumeration cap, brute force, and with ``--check`` the signed walk.
+names it and checks it against the quotient route and, under the
+enumeration cap, brute force.
 """
 
 import argparse
 import json
+import math
 import sys
 
 from . import domino, h2, ruskey
@@ -23,7 +24,6 @@ from .linext import (
     ENUM_CAP,
     _enumerated_signed,
     count_extensions,
-    signed_count,
 )
 from .poset import Poset
 from .textio import (
@@ -67,15 +67,12 @@ def _cmd_si(args) -> int:
 
     p, cap = _load_poset(args.poset), args.downset_cap
     signed, e, route = plan.signed(p, cap)
-    # e stays uncounted after the height-2 inverse: its walk is what runs
-    # out of memory on lifts
-    if e is None and "height-2" not in route:
-        e, _ = plan.e(p, cap)
-    walk = signed_count(p, downset_cap=cap) if args.check else None
-    e = walk.total if e is None and walk else e
     count = brute = None
-    if e is not None and e <= args.enum_cap:
+    # e is None after the height-2 inverse, whose walk for e runs out of
+    # memory on lifts; there n! bounds e
+    if (math.factorial(p.n) if e is None else e) <= args.enum_cap:
         count, brute = _enumerated_signed(p, cap=args.enum_cap)
+        e = count if e is None else e
     # the quotient route on the whole poset, which the planner may have run
     quot = signed if route == "quotient" else domino.si_via_quotients(p, cap)
     payload = {
@@ -94,12 +91,7 @@ def _cmd_si(args) -> int:
         f"si (brute force) = {skipped if brute is None else abs(brute)}",
         f"si (quotient route) = {abs(quot)}",
     ]
-    others = [(e, quot)] + ([(count, brute)] if brute is not None else [])
-    if walk:
-        others.append(walk[:2])
-        payload["si_walk"] = str(walk.imbalance)
-        lines.append(f"si (signed walk) = {walk.imbalance}")
-    if any(other != (e, signed) for other in others):
+    if quot != signed or (brute is not None and (count, brute) != (e, signed)):
         _emit(args, payload, lines + ["MISMATCH between routes"])
         return 1
     _emit(args, payload, lines)
@@ -347,17 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     downset_cap(
         s,
         "it bounds each walk: the quotient route's, over the down-sets of "
-        "even size that dominoes reach, the walk that counts e, and with "
-        "--check the signed walk",
+        "even size that dominoes reach, and the walk that counts e",
     )
     s.add_argument(
         "--enum-cap", type=_nonnegative, default=ENUM_CAP,
         help="enumerate extensions for the brute-force route only when "
-        "e is at most this",
-    )
-    s.add_argument(
-        "--check", action="store_true",
-        help="also run the signed walk over every down-set",
+        "e is at most this (n! where e is not counted)",
     )
     s.set_defaults(func=_cmd_si)
 

@@ -18,11 +18,11 @@
    either certifies sign balance, or finds the lift's one domino tableau
    t, with the base B of the lift as its quotient; then the signed sum
    is sgn(t) * e(B), and e(B) is planned by ``e``.
-4. The quotient walk ``domino.si_via_quotients``, for the signed sum
-   only. It stores a subset of the down-sets that the signed walk would
+4. For the signed sum, the quotient walk ``domino.si_via_quotients``.
+   It stores a subset of the down-sets that the signed walk would
    store, so it answers whenever that walk would, and the signed sum
-   needs no walk of its own.
-5. The down-set walk ``count_extensions``, for e.
+   needs no walk of its own. For e, here and in ``e``, the down-set walk
+   ``count_extensions``.
 
 ``count_extensions``, ``signed_count`` and ``count_mod`` stay the walk,
 so every criterion and test keeps the route it names; CLI ``count`` and
@@ -162,8 +162,9 @@ def e(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, str]:
 
 def signed(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, int | None, str]:
     """(signed sum, e(P) or None, route): split, then ``forest_count``,
-    the height-2 inverse or the quotient walk. e is None when a part took
-    either of the last two, which do not count extensions."""
+    the height-2 inverse or the quotient walk (with the walk for e). e is
+    None when a part took the height-2 inverse: e of a lift is left to
+    ``e``, whose walk is what runs out of memory on lifts."""
 
     def leaf(q: Poset) -> Answer:
         fc = forest_count(q)
@@ -175,7 +176,8 @@ def signed(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, int | None, s
                 return None, 0, "height-2"
             t = domino.DominoTableau(dec.pairs, dec.isolated)
             return None, domino._sign(t) * e(dec.base, downset_cap)[0], "height-2"
-        return None, domino.si_via_quotients(q, downset_cap), "quotient"
+        total = count_extensions(q, downset_cap)
+        return total, domino.si_via_quotients(q, downset_cap), "quotient"
 
     total, sgn, route = _plan(p, leaf)
     return sgn, total, route

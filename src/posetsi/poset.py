@@ -231,8 +231,7 @@ def zigzag(n: int) -> Poset:
 
 def grid(m: int, n: int) -> Poset:
     """Componentwise order on {0..m-1} x {0..n-1}; element (i, j) is i*n + j."""
-    _check_size(m)
-    _check_size(n)
+    _check_size(min(m, n))
     pairs = []
     for i in range(m):
         for j in range(n):

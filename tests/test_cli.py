@@ -495,7 +495,7 @@ def test_option_inventory():
     # every flag of every subcommand; a new flag belongs in this table
     want = {
         "count": ["--downset-cap", "--json"],
-        "si": ["--check", "--downset-cap", "--enum-cap", "--json"],
+        "si": ["--downset-cap", "--enum-cap", "--json"],
         "domino": ["--json"],
         "lift": ["--json", "--rel"],
         "decompose": ["--json"],
@@ -593,37 +593,26 @@ def test_si_on_lifts_in_bounded_memory(capsys, tmp_path):
         assert rep["e"] is None and "height-2" in rep["route"]
 
 
-def test_si_check_runs_the_signed_walk(capsys, tmp_path):
-    code, out, _ = run(capsys, "si", "grid:3:4", "--check", "--json")
+def test_si_enumerates_small_lifts(capsys, tmp_path):
+    code, out, _ = run(capsys, "si", "grid:3:4", "--json")
     assert code == 0
     rep = json.loads(out)
-    assert rep["signed"] == "-2" and rep["si"] == rep["si_walk"] == "2"
+    assert (rep["signed"], rep["si"], rep["si_quotient"]) == ("-2", "2", "2")
     assert rep["e"] == "462" and rep["route"] == "split + quotient"
     # a lift of chain(3) whose Hasse diagram has a cycle: the height-2
-    # inverse leaves e uncounted, and the walk counts it
+    # inverse leaves e uncounted, and with 6! under the enumeration cap
+    # brute force counts it
     path = tmp_path / "lift.poset"
     path.write_text(write_poset(build_lift(chain(3), good_base(chain(3)) | {(0, 2)})))
     code, out, _ = run(capsys, "si", str(path), "--json")
     assert code == 0
     rep = json.loads(out)
-    assert (rep["e"], rep["si"], rep["route"]) == (None, "1", "height-2")
-    code, out, _ = run(capsys, "si", str(path), "--check", "--json")
+    assert (rep["e"], rep["si"], rep["si_brute"]) == ("57", "1", "1")
+    assert rep["route"] == "height-2"
+    code, out, _ = run(capsys, "si", str(path), "--enum-cap", "719")
     assert code == 0
-    rep = json.loads(out)
-    assert (rep["e"], rep["si_walk"], rep["si_brute"]) == ("57", "1", "1")
-
-
-def test_si_check_reports_a_walk_that_disagrees(capsys, monkeypatch):
-    from posetsi import cli
-    from posetsi.linext import SignedCount
-
-    def wrong_sign(p, downset_cap):
-        return SignedCount(462, 2, 2)
-
-    monkeypatch.setattr(cli, "signed_count", wrong_sign)
-    code, out, _ = run(capsys, "si", "grid:3:4", "--check")
-    assert code == 1
-    assert "si (signed walk) = 2" in out and out.endswith("MISMATCH between routes\n")
+    assert "e = not counted\n" in out
+    assert "si (brute force) = skipped: e not counted\n" in out
 
 
 def test_si_compares_signed_sums(capsys, monkeypatch):
