@@ -539,9 +539,10 @@ def test_exit_code_recursion(capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    # grid:3:3 less its corners is neither split nor a forest: it takes the walk
+    # grid:3:30 less its corners is neither split nor a forest, and over
+    # the peel's size: it takes the walk
     monkeypatch.setattr("posetsi.plan.count_extensions", too_deep)
-    code, _, err = run(capsys, "count", "grid:3:3")
+    code, _, err = run(capsys, "count", "grid:3:30")
     assert code == 3
     assert "RecursionError" in err
 
@@ -659,7 +660,7 @@ def test_exit_code_memory(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("posetsi.plan.count_extensions", exhausted)
-    code, _, err = run(capsys, "count", "grid:3:3")
+    code, _, err = run(capsys, "count", "grid:3:30")
     assert code == 3
     assert "MemoryError" in err
 

@@ -1,10 +1,12 @@
 import random
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetsi import plan
+from posetsi.errors import ResourceLimit
 from posetsi.generate import enumerate_posets
 from posetsi.h2 import build_lift, good_base
 from posetsi.linext import count_extensions, signed_count
@@ -126,8 +128,36 @@ def test_routes_of_named_families():
     assert plan.e(chain(0)) == (1, "forest")
     assert plan.signed(antichain(3)) == (0, 6, "split")  # [2 choose 1] at -1 is 0
     # grid:3:4 less its two corners is neither split nor a forest
-    assert plan.e(grid(3, 4)) == (462, "split + walk")
+    assert plan.e(grid(3, 4)) == (462, "split + peel")
     assert plan.signed(grid(3, 4)) == (-2, 462, "split + quotient")
     lift = build_lift(grid(2, 30), good_base(grid(2, 30)))
     assert plan.signed(lift) == (3814986502092304, None, "height-2")  # Catalan(30)
-    assert plan.e(grid(2, 30)) == (comb(60, 30) // 31, "split + walk")
+    assert plan.e(grid(2, 30)) == (comb(60, 30) // 31, "split + peel")
+    assert plan.e(grid(3, 30))[1] == "split + walk"  # 88 elements, over PEEL_N
+
+
+def test_peel_matches_the_walk_from_either_end():
+    # each class and its dual: where their ends differ in size, one peels
+    # its minimal elements and the other its maximal ones
+    for n in range(2, 8):
+        for p in enumerate_posets(n):
+            for q in (p, Poset(n, p.down)):
+                assert plan._peel(q, plan.PEEL_STATES) == count_extensions(q)
+    # random orders of the benchmark's kind, which fall apart as they peel
+    rng = random.Random(30)
+    for _ in range(2):
+        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.1]
+        p = from_covers(30, pairs)
+        for q in (p, Poset(30, p.down)):
+            assert plan._peel(q, plan.PEEL_STATES) == count_extensions(q)
+
+
+def test_peel_hands_over_to_the_walk(monkeypatch):
+    # the peel keeps 26 states on the middle of grid:3:4; the walk stores 33
+    monkeypatch.setattr(plan, "PEEL_STATES", 25)
+    assert plan.e(grid(3, 4)) == (462, "split + walk")
+    monkeypatch.setattr(plan, "PEEL_STATES", 26)
+    assert plan.e(grid(3, 4)) == (462, "split + peel")
+    # a down-set cap under the peel's states leaves the cap to the walk
+    with pytest.raises(ResourceLimit):
+        plan.e(grid(3, 4), downset_cap=20)
