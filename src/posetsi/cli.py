@@ -7,8 +7,16 @@ malformed input, 3 resource cap exceeded or out of memory or recursion
 depth.
 
 ``count`` and ``si`` take the cheapest sound route, by ``plan``. ``si``
-names it and checks it against the quotient route and, under the
-enumeration cap, brute force.
+names it and checks it against the quotient route, run part by part on
+the planner's split, and, under the enumeration cap, brute force.
+
+A query imports only the modules its subcommand runs: this module loads
+``errors``, ``linext``, ``poset`` and ``textio``, and each handler
+imports the rest it needs (``plan``, ``domino``, ``h2``, ``ruskey``,
+``euler``, ``acceptance``) when it runs. So ``count`` loads no
+``domino``, ``h2``, ``canon`` or ``generate``, and only the census
+subcommands load the last two. The ``ruskey`` caps read their defaults
+from ``ruskey.GRAPH_CAP`` and ``ruskey.HAMPATH_CAP`` in the handler.
 """
 
 import argparse
@@ -16,15 +24,8 @@ import json
 import math
 import sys
 
-from . import domino, h2, ruskey
 from .errors import PosetsiError, ResourceLimit, VerificationError
-from .euler import check_congruence, euler_numbers, primes_never_dividing
-from .linext import (
-    DOWNSET_CAP,
-    ENUM_CAP,
-    _enumerated_signed,
-    count_extensions,
-)
+from .linext import DOWNSET_CAP, ENUM_CAP, _enumerated_signed, count_extensions
 from .poset import Poset
 from .textio import (
     _int,
@@ -54,7 +55,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_count(args) -> int:
-    from . import plan  # imported here: only count and si plan a route
+    from . import plan
 
     p = _load_poset(args.poset)
     e, _ = plan.e(p, args.downset_cap)
@@ -63,7 +64,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_si(args) -> int:
-    from . import plan
+    from . import domino, plan
 
     p, cap = _load_poset(args.poset), args.downset_cap
     signed, e, route = plan.signed(p, cap)
@@ -73,8 +74,15 @@ def _cmd_si(args) -> int:
     if (math.factorial(p.n) if e is None else e) <= args.enum_cap:
         count, brute = _enumerated_signed(p, cap=args.enum_cap)
         e = count if e is None else e
-    # the quotient route on the whole poset, which the planner may have run
-    quot = signed if route == "quotient" else domino.si_via_quotients(p, cap)
+    # the quotient route part by part, since the signed join needs only
+    # part sizes; the planner's answer already is it when every part that
+    # did not split took the quotient walk
+    if set(route.split(" + ")) <= {"split", "quotient"}:
+        quot = signed
+    else:
+        _, quot, _ = plan._plan(
+            p, lambda q: (None, domino.si_via_quotients(q, cap), "quotient")
+        )
     payload = {
         "e": None if e is None else str(e),
         "signed": str(signed),
@@ -99,6 +107,8 @@ def _cmd_si(args) -> int:
 
 
 def _cmd_domino(args) -> int:
+    from . import domino
+
     p = _load_poset(args.poset)
     tabs = sorted(domino._tableaux(p), key=lambda tq: tq[0])
     items = []
@@ -130,6 +140,8 @@ def _cmd_domino(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from . import h2
+
     p = _load_poset(args.poset)
     rel = h2.good_base(p)
     if args.rel:
@@ -141,6 +153,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import h2
+
     p = _load_poset(args.poset)
     dec = h2.decompose(p)
     payload: dict = {"kind": dec.kind}
@@ -161,6 +175,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_h2sb(args) -> int:
+    from . import h2
+
     p = _load_poset(args.poset)
     verdict = h2.h2sb_decide(p, args.k)
     _emit(
@@ -172,6 +188,8 @@ def _cmd_h2sb(args) -> int:
 
 
 def _cmd_f(args) -> int:
+    from . import h2
+
     if args.q is not None:
         count = h2.count_f_q(args.n, args.q)
         _emit(
@@ -191,6 +209,8 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import h2
+
     rep = h2.odd_e_bounds(args.n)
     lines = [
         f"vertices: {rep['vertices']}",
@@ -203,6 +223,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import h2
+
     rep = h2.spectrum(args.max_n)
     payload = {
         "max_vertices": rep["max_vertices"],
@@ -220,9 +242,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ruskey(args) -> int:
+    from . import ruskey
+
     p = _load_poset(args.poset)
-    g = ruskey.build_graph(p, args.adjacent, args.graph_cap)
-    rep = ruskey._graph_report(p, g, args.path_cap if args.hampath else None)
+    graph_cap = ruskey.GRAPH_CAP if args.graph_cap is None else args.graph_cap
+    path_cap = ruskey.HAMPATH_CAP if args.path_cap is None else args.path_cap
+    g = ruskey.build_graph(p, args.adjacent, graph_cap)
+    rep = ruskey._graph_report(p, g, path_cap if args.hampath else None)
     lines = [f"{k}: {v}" for k, v in rep.items() if k != "path"]
     if "path" in rep:
         lines.append("path: " + " ".join(map(str, rep["path"])))
@@ -242,6 +268,8 @@ def _cmd_ruskey(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    from .euler import check_congruence, euler_numbers, primes_never_dividing
+
     if args.primes:
         out = primes_never_dividing(args.bound)
         print(json.dumps(out))
@@ -273,7 +301,6 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    # imported here: no other command needs the suite or its process pool
     from . import acceptance
 
     results = acceptance.run_all()
@@ -390,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dump-graph", action="store_true",
                    help="print the vertex table and edge list")
     s.add_argument(
-        "--graph-cap", type=_nonnegative, default=ruskey.GRAPH_CAP,
+        "--graph-cap", type=_nonnegative,
         help="exit 3 once the transposition graph would have more than "
         "this many vertices (linear extensions)",
     )
     s.add_argument(
-        "--path-cap", type=_nonnegative, default=ruskey.HAMPATH_CAP,
+        "--path-cap", type=_nonnegative,
         help="exit 3 once the Hamiltonian path search has entered more "
         "than this many search nodes (vertices, counted on every branch)",
     )

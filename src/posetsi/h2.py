@@ -6,15 +6,16 @@ The lift of a base poset P under a good relation set R lives on two
 copies of P's elements: bottoms 0..n-1, tops n..2n-1, with x below n+y
 iff (x, y) is in R. Its sign imbalance equals e(P). The inverse peels
 the lift's forced (bottom, top) pairs in one pass over its Hasse diagram.
+Only the census functions (``count_f``, ``count_f_q``, ``odd_e_bounds``
+and ``spectrum``) import ``generate`` and ``canon``, when they run, so
+the lift, its inverse and the decider load neither.
 """
 
 import math
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .canon import is_isomorphic
 from .errors import BadGoodSet, HeightExceeded, VerificationError
-from .generate import enumerate_posets
 from .linext import at_least_k, count_extensions, count_mod
 from .poset import Poset, from_covers, iter_bits, stats
 
@@ -158,6 +159,8 @@ def count_f(n_total: int) -> dict:
     Formula route: sum 2**(re-cr) over odd-e classes on half the elements.
     Direct route: enumerate height-<=2 classes and count odd e.
     """
+    from .generate import enumerate_posets
+
     if n_total < 0 or n_total > 11:
         raise ValueError("supported range is 0..11")
     half = n_total // 2
@@ -179,6 +182,8 @@ def count_f(n_total: int) -> dict:
 
 def count_f_q(m: int, q: int) -> int:
     """Height-<=2 classes on m elements whose e is not divisible by q."""
+    from .generate import enumerate_posets
+
     if m < 0 or m > 8:
         raise ValueError("supported range is 0..8")
     if q < 2:
@@ -192,6 +197,9 @@ def odd_e_bounds(n: int) -> dict:
     """Check every odd-e height-<=2 class on 2n vertices against
     (n!)^2 <= e <= n!(2n-1)!! and check that the class is the lift of the
     base and relation set that ``decompose`` returns."""
+    from .canon import is_isomorphic
+    from .generate import enumerate_posets
+
     if n < 0 or 2 * n > 8:
         raise ValueError("supported range is 2n <= 8")
     lower = math.factorial(n) ** 2
@@ -222,6 +230,8 @@ def odd_e_bounds(n: int) -> dict:
 def spectrum(max_vertices: int) -> dict:
     """Achievable e values over height-<=2 classes with at most
     max_vertices elements, with one witness poset per value."""
+    from .generate import enumerate_posets
+
     if max_vertices < 0 or max_vertices > 8:
         raise ValueError("supported range is 0..8")
     witnesses: dict[int, Poset] = {}

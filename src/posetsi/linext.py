@@ -17,9 +17,17 @@ against the others:
   when the Hasse diagram is a forest (fences, chains, antichains, trees)
   and declines every other poset. The public counts and every
   criterion but the Euler table check keep to the walk.
-- Brute enumeration, ``_extension_orders``, a depth-first walk on an
-  explicit stack that stores no down-sets. ``_enumerated_signed``
-  streams it to count and sign every extension.
+- Brute enumeration, a depth-first walk on an explicit stack that
+  stores no down-sets. ``_extension_orders`` yields each extension as an
+  element order, for ``enumerate_extensions``, ``at_least_k`` and
+  ``domino.exists_q_adapted``. ``_enumerated_signed``, the brute route
+  that counts and signs every extension, runs its own loop of the same
+  shape: each frame also carries its prefix's parity, which placing an
+  element updates by the sign rule below, and the last element, being
+  forced, is counted and signed without a frame. The loops stay
+  separate because sharing one would make the order generator carry a
+  parity its other callers do not need, and build a tuple per extension
+  that the signed count does not need.
 - The quotient route, ``domino.si_via_quotients``, signs only the
   fixed points of ``phi``, the extensions built from dominoes, by a
   walk over the down-sets of even size that they reach; it shares
@@ -36,8 +44,8 @@ elements of its complement, so the walk steps only over elements that
 can be added and each lattice edge costs one dict update. Enumeration
 carries the same addable sets from depth to depth. Every sign follows
 one rule: an element placed after j larger ones adds j inversions, per
-step in the walk and in the quotient route, and per sequence in
-``_parity``. The walk stores one popcount layer at a time and raises
+step in the walk, the quotient route and the brute route, and per
+sequence in ``_parity``. The walk stores one popcount layer at a time and raises
 :class:`ResourceLimit` the moment the number of stored down-sets would
 pass the cap, before the rest of the layer is built. ``at_least_k``
 falls back to enumeration, and stops after the first k extensions, when
@@ -376,17 +384,51 @@ def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:
 
 
 def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:
-    """(count, signed sum) over the enumerated extensions, raising
-    ResourceLimit past ``cap``. Each element order is signed as it
-    streams by; its label array is the inverse permutation, with the same
-    parity, so no labels are built, sorted or validated."""
-    count = signed = 0
-    for order in _extension_orders(p):
-        count += 1
-        if count > cap:
-            raise ResourceLimit(f"extension count exceeded cap {cap}")
-        signed += _parity(order)
-    return count, signed
+    """(count, signed sum) over the extensions, each visited and counted
+    one at a time, raising ResourceLimit at extension ``cap`` + 1.
+
+    A depth-first walk like ``_extension_orders``, whose frames each
+    carry the placed mask, the addable set, the untried set and the
+    parity of the prefix. Placing x after the placed elements above it
+    flips the parity once per such element, the sign rule of ``_layers``.
+    With one element left it is forced, so the extension is counted and
+    signed on the spot, without a frame of its own. The signed sum is the
+    count less twice the odd extensions."""
+    n = p.n
+    count = odd = 0
+    if n < 2:  # the one extension of an empty or one-element order
+        count = 1
+    else:
+        covers = _upper_covers(p)
+        full = (1 << n) - 1
+        last = n - 1  # frames on the stack once only the last element is left
+        stack = [[0, p.minimal_mask, p.minimal_mask, 0]]
+        while stack:
+            frame = stack[-1]
+            mask, addable, untried, parity = frame
+            if not untried:
+                stack.pop()
+                continue
+            low = untried & -untried
+            frame[2] = untried ^ low
+            x = low.bit_length() - 1
+            parity ^= (mask >> x).bit_count() & 1
+            mask |= low
+            if len(stack) == last:
+                count += 1
+                if count > cap:
+                    break
+                rest = full ^ mask
+                odd += parity ^ (mask >> rest.bit_length()).bit_count() & 1
+                continue
+            nxt = addable ^ low
+            for ybit, below in covers[x]:
+                if not below & ~mask:
+                    nxt |= ybit
+            stack.append([mask, nxt, nxt, parity])
+    if count > cap:
+        raise ResourceLimit(f"extension count exceeded cap {cap}")
+    return count, count - 2 * odd
 
 
 def _labels_of_order(order: tuple[int, ...]) -> tuple[int, ...]:

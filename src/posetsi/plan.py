@@ -31,14 +31,14 @@
 
 ``count_extensions``, ``signed_count`` and ``count_mod`` stay the walk,
 so every criterion and test keeps the route it names; CLI ``count`` and
-``si`` come here.
+``si`` come here. ``e`` loads neither ``domino`` nor ``h2``: ``signed``
+imports ``domino`` when it runs, and ``h2`` only for a part of height 2.
 """
 
 from collections.abc import Sequence
 from math import comb, perm
 from typing import Callable
 
-from . import domino, h2
 from .linext import (
     DOWNSET_CAP,
     _binom_minus_one,
@@ -291,12 +291,15 @@ def signed(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, int | None, s
     the height-2 inverse or the quotient walk (with the peel or the walk
     for e). e is None when a part took the height-2 inverse: e of a lift
     is left to ``e``, whose walk is what runs out of memory on lifts."""
+    from . import domino
 
     def leaf(q: Poset) -> Answer:
         fc = forest_count(q)
         if fc is not None:
             return fc.total, fc.signed, "forest"
         if not any(up and down for up, down in zip(q.up, q.down)):  # height <= 2
+            from . import h2
+
             dec = h2.decompose(q)
             if dec.kind == "sign_balanced":
                 return None, 0, "height-2"

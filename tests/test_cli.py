@@ -7,8 +7,8 @@ import pytest
 from posetsi.cli import build_parser, main
 from posetsi.errors import PosetsiError, ResourceLimit, VerificationError
 from posetsi.h2 import build_lift, good_base
-from posetsi.poset import chain
-from posetsi.textio import parse_family, write_poset
+from posetsi.poset import chain, disjoint_union
+from posetsi.textio import parse_family, read_poset, write_poset
 from conftest import allow_cpus
 
 
@@ -74,17 +74,14 @@ def test_si_brute_route_does_not_revalidate(capsys, monkeypatch):
 
 
 def test_si_compares_brute_count(capsys, monkeypatch):
-    from posetsi import linext
+    from posetsi import cli, linext
 
-    real = linext._extension_orders
+    def two_short(p, cap):
+        # one extension of each sign dropped: two fewer, the same signed sum
+        count, signed = linext._enumerated_signed(p, cap)
+        return count - 2, signed
 
-    def two_short(p):
-        orders = list(real(p))
-        plus = next(x for x in orders if linext._parity(x) > 0)
-        minus = next(x for x in orders if linext._parity(x) < 0)
-        return iter([x for x in orders if x not in (plus, minus)])
-
-    monkeypatch.setattr(linext, "_extension_orders", two_short)
+    monkeypatch.setattr(cli, "_enumerated_signed", two_short)
     code, out, _ = run(capsys, "si", "zigzag:6", "--json")
     assert code == 1
     rep = json.loads(out)
@@ -561,10 +558,11 @@ def _random_lift():
 
 
 def test_si_on_lifts_in_bounded_memory(capsys, tmp_path):
-    # the signed walk on either lift runs out of time or of memory
+    # the signed walk on each lift runs out of time or of memory
     import resource
     import subprocess
     import sys
+    from math import comb
     from pathlib import Path
 
     import posetsi
@@ -578,12 +576,21 @@ def test_si_on_lifts_in_bounded_memory(capsys, tmp_path):
     grid_lift.write_text(out)
     random_lift = tmp_path / "random.poset"
     random_lift.write_text(write_poset(_random_lift()))
+    # three copies side by side: the quotient walk on the whole union
+    # stores the product of the copies' down-sets, so si_quotient is taken
+    # part by part; each 120-element part joins by a q = -1 binomial
+    g = read_poset(out)
+    union = tmp_path / "union.poset"
+    union.write_text(write_poset(disjoint_union(disjoint_union(g, g), g)))
+    union_si = comb(120, 60) * comb(180, 60) * 3814986502092304**3
     src = str(Path(posetsi.__file__).parents[1])
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "from posetsi.cli import main; sys.exit(main(sys.argv[2:]))"
     )
-    for path, si in ((grid_lift, 3814986502092304), (random_lift, 2636088000)):
+    for path, si in (
+        (grid_lift, 3814986502092304), (random_lift, 2636088000), (union, union_si)
+    ):
         done = subprocess.run(
             [sys.executable, "-c", script, src, "si", str(path), "--json"],
             capture_output=True, text=True, timeout=30, preexec_fn=one_gib,

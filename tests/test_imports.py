@@ -28,10 +28,8 @@ def _siblings(tree: ast.AST) -> set[str]:
 def test_module_import_graph():
     # every import between the package's modules; a new one belongs here
     want = {
-        "__init__": {
-            "canon", "domino", "errors", "euler", "generate", "h2", "linext",
-            "poset", "ruskey",
-        },
+        # loads each module by name, on first use of one of its names
+        "__init__": set(),
         "acceptance": {
             "canon", "domino", "errors", "euler", "generate", "h2", "linext",
             "poset", "ruskey",
@@ -60,16 +58,48 @@ def test_module_import_graph():
     assert got == want
 
 
-def test_cli_query_imports_no_dataclasses_or_inspect():
-    # -S: the host's site hooks may import either module themselves
+def _loaded(code: str, names: set[str]) -> list[str]:
+    """Which of ``names`` are in sys.modules after ``code`` runs in a fresh
+    interpreter, started with -S: the host's site hooks may import
+    modules themselves."""
     src = str(Path(posetsi.__file__).parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); from posetsi.cli import main; "
-        "main(['count', 'chain:1', '--json']); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code, src],
+        [
+            sys.executable, "-S", "-c",
+            f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
+            f"print(sorted({set(names)!r} & set(sys.modules)))",
+            src,
+        ],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines()[-1] == "[]"
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def _query(*argv: str) -> str:
+    return f"from posetsi.cli import main; main({list(argv)!r})"
+
+
+def test_cli_query_imports_no_dataclasses_or_inspect():
+    assert _loaded(_query("count", "chain:1", "--json"), {"dataclasses", "inspect"}) == []
+
+
+def test_cli_query_loads_only_the_modules_it_runs():
+    census = {"posetsi.canon", "posetsi.generate"}
+    others = {"posetsi.euler", "posetsi.ruskey", "posetsi.acceptance"}
+    walks = {"posetsi.domino", "posetsi.h2"}
+    assert _loaded(_query("count", "chain:1"), census | others | walks) == []
+    assert _loaded(_query("si", "zigzag:4"), census | others) == []
+
+
+def test_package_import_loads_no_module():
+    modules = {f"posetsi.{path.stem}" for path in Path(posetsi.__file__).parent.glob("*.py")}
+    assert _loaded("import posetsi", modules - {"posetsi.__init__"}) == []
+
+
+def test_every_public_name_resolves():
+    for name in posetsi.__all__:
+        assert getattr(posetsi, name).__module__.startswith("posetsi.")
+    assert set(posetsi.__all__) <= set(dir(posetsi))
+    namespace: dict = {}
+    exec("from posetsi import *", namespace)
+    assert set(posetsi.__all__) <= set(namespace)

@@ -110,6 +110,19 @@ def test_enumeration_cap():
         linext._enumerated_signed(antichain(3), cap=5)
 
 
+def test_brute_route_matches_the_walk_on_every_class():
+    # the brute route signs each prefix as it grows and the forced last
+    # element on the spot; n = 0 and n = 1 have the one extension
+    assert linext._enumerated_signed(antichain(0)) == (1, 1)
+    assert linext._enumerated_signed(antichain(1)) == (1, 1)
+    rng = random.Random(22)
+    for n in range(7):
+        for p in enumerate_posets(n):
+            for q in (p, p.relabel(rng.sample(range(n), n))):
+                sc = signed_count(q)
+                assert linext._enumerated_signed(q) == (sc.total, sc.signed)
+
+
 def test_downset_cap():
     with pytest.raises(ResourceLimit):
         count_extensions(antichain(24), downset_cap=100)
