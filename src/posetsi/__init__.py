@@ -18,7 +18,8 @@ _MODULES = {
     "quotient si_via_quotients tableau_sign",
     "errors": "BadGoodSet CycleError FormatError HeightExceeded InvalidExtension "
     "MalformedPartition NotATableau PosetsiError ResourceLimit VerificationError",
-    "euler": "check_congruence euler_numbers euler_numbers_mod primes_never_dividing",
+    "euler": "check_congruence congruence_failures euler_numbers euler_numbers_mod "
+    "primes_never_dividing",
     "generate": "enumerate_posets poset_class_count",
     "h2": "Decomposition build_lift count_f count_f_q decompose enumerate_good_sets "
     "good_base h2sb_decide odd_e_bounds spectrum",

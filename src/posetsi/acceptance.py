@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 from . import domino, h2, linext, ruskey
 from .canon import is_isomorphic
 from .errors import PosetsiError
-from .euler import check_congruence, euler_numbers, primes_never_dividing
+from .euler import congruence_failures, euler_numbers, primes_never_dividing
 from .generate import enumerate_posets
 from .linext import (
     count_extensions,
@@ -237,38 +237,21 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    # Count the extensions that the real at_least_k pulls from the
-    # enumerator, per decision.
-    original = linext._extension_orders
-    pulled = 0
-
-    def counting(p: Poset):
-        nonlocal pulled
-        for order in original(p):
-            pulled += 1
-            yield order
-
-    linext._extension_orders = counting
     bad = 0
     overshoot = 0
     checked = 0
     walked = 0
-    try:
-        for n in range(9):
-            for p in enumerate_posets(n, max_height=2):
-                si = signed_count(p).imbalance
-                for k in sorted({*range(9), si, si + 1, 20 * si}):
-                    checked += 1
-                    pulled = 0
-                    if h2.h2sb_decide(p, k) != (si >= k):
-                        bad += 1
-                    if pulled > k:
-                        overshoot += 1
-                    # si > 0 makes q a lift whose base has e >= 1
-                    # extensions, so no pull means the walk decided
-                    walked += si > 0 and k > 0 and pulled == 0
-    finally:
-        linext._extension_orders = original
+    for n in range(9):
+        for p in enumerate_posets(n, max_height=2):
+            si = signed_count(p).imbalance
+            for k in sorted({*range(9), si, si + 1, 20 * si}):
+                checked += 1
+                decided, pulled = h2._h2sb_decide(p, k)
+                bad += decided != (si >= k)
+                overshoot += pulled > k
+                # si > 0 makes q a lift whose base has e >= 1
+                # extensions, so no pull means the walk decided
+                walked += si > 0 and k > 0 and pulled == 0
     return CriterionResult(
         9,
         "height-2 decider matches the signed DP's si >= k for n <= 8 and k "
@@ -394,17 +377,13 @@ def criterion_13() -> CriterionResult:
         f"{'PASS' if forest_ok else 'FAIL'}"
     )
 
-    odd_ok = all(
-        check_congruence(n, q)
-        for q in (3, 5, 7, 11)
-        for n in range(q + 1, 31)
-    )
+    odd_ok = not any(congruence_failures(30, q) for q in (3, 5, 7, 11))
     details.append(
         f"congruence for q in {{3, 5, 7, 11}}, n <= 30: "
         f"{'PASS' if odd_ok else 'FAIL'}"
     )
 
-    q2_failures = [n for n in range(3, 31) if not check_congruence(n, 2)]
+    q2_failures = congruence_failures(30, 2)
     q2_ok = not q2_failures
     details.append(
         f"congruence for q = 2, n <= 30: "

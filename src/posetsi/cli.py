@@ -268,7 +268,7 @@ def _cmd_ruskey(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    from .euler import check_congruence, euler_numbers, primes_never_dividing
+    from .euler import congruence_failures, euler_numbers, primes_never_dividing
 
     if args.primes:
         out = primes_never_dividing(args.bound)
@@ -276,11 +276,7 @@ def _cmd_euler(args) -> int:
         return 0
     if args.congruence:
         qs = args.q or [3, 5, 7, 11]
-        failures = []
-        for q in qs:
-            for n in range(q + 1, args.max_n + 1):
-                if not check_congruence(n, q):
-                    failures.append((n, q))
+        failures = [(n, q) for q in qs for n in congruence_failures(args.max_n, q)]
         payload = {
             "max_n": args.max_n,
             "q": qs,

@@ -27,7 +27,7 @@ from .linext import (
     _upper_covers,
     _validate,
 )
-from .poset import Poset, from_covers, iter_bits
+from .poset import Poset, _components, from_covers, iter_bits
 
 __all__ = [
     "DominoTableau",
@@ -292,22 +292,11 @@ def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
     return total
 
 
-def _connected(p: Poset, block: int) -> bool:
-    """Mask ``block`` induces a connected subposet: growing from its lowest
-    element through comparable pairs inside the block reaches all of it."""
-    reach, last = block & -block, 0
-    while reach != last:
-        last = reach
-        for x in iter_bits(last):
-            reach |= (p.up[x] | p.down[x]) & block
-    return reach == block
-
-
 def _blocks_connected(p: Poset, order, q: int) -> bool:
     """Each block of q consecutive places of an element order induces a
     connected subposet (up to q-1 places at the end are ignored)."""
     return all(
-        _connected(p, sum(1 << x for x in order[i : i + q]))
+        len(_components(p, sum(1 << x for x in order[i : i + q]))) == 1
         for i in range(0, p.n - q + 1, q)
     )
 

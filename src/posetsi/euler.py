@@ -5,11 +5,11 @@ A000111 shifted to start at E_1 = 1). The table is computed by the
 boustrophedon recurrence with exact integers. The prime sweep streams
 the table once, modulo the product of the primes still under test, and
 drops each prime as soon as it divides a term or leaves its window; a
-modular variant backs the congruence check. For odd primes q and n > q
-the congruence E_n = E_q * E_{n-(q-1)} (mod q) reduces divisibility
-questions to the first q values; a guard window up to 3q is checked as
-well because the congruence fails for q = 2 (Euler parities alternate
-from n = 3 on).
+modular variant backs the congruence check, one table per modulus. For
+odd primes q and n > q the congruence E_n = E_q * E_{n-(q-1)} (mod q)
+reduces divisibility questions to the first q values; a guard window up
+to 3q is checked as well because the congruence fails for q = 2 (Euler
+parities alternate from n = 3 on).
 """
 
 import math
@@ -20,6 +20,7 @@ __all__ = [
     "euler_numbers",
     "euler_numbers_mod",
     "check_congruence",
+    "congruence_failures",
     "primes_never_dividing",
 ]
 
@@ -54,8 +55,18 @@ def check_congruence(n: int, q: int) -> bool:
     """Does E_n = E_q * E_{n-(q-1)} hold mod q? Requires n > q >= 2."""
     if n <= q:
         raise ValueError("the congruence is stated for n > q")
-    em = euler_numbers_mod(n, q)
-    return em[n - 1] == em[q - 1] * em[n - q] % q
+    return n not in congruence_failures(n, q)
+
+
+def congruence_failures(max_n: int, q: int) -> list[int]:
+    """The n in q+1..max_n where the congruence fails mod q, from one
+    table of E_1..E_max_n mod q (none is built when max_n <= q)."""
+    if max_n <= q:
+        return []
+    em = euler_numbers_mod(max_n, q)
+    return [
+        n for n in range(q + 1, max_n + 1) if em[n - 1] != em[q - 1] * em[n - q] % q
+    ]
 
 
 def _primes_upto(bound: int) -> list[int]:

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import BadGoodSet, HeightExceeded, VerificationError
-from .linext import at_least_k, count_extensions, count_mod
+from .linext import _at_least_k, count_extensions, count_mod
 from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
@@ -144,12 +144,18 @@ def h2sb_decide(q: Poset, k: int) -> bool:
     compares e(B) with k: by the exact down-set walk when B has at most
     k // (|B| + 1) down-sets, else by enumerating at most k extensions.
     """
+    return _h2sb_decide(q, k)[0]
+
+
+def _h2sb_decide(q: Poset, k: int) -> tuple[bool, int]:
+    """``h2sb_decide`` and the extensions of B it enumerated (0 when the
+    walk decided or q is sign-balanced), which criterion 9 bounds by k."""
     if k < 0:
         raise ValueError("threshold must be nonnegative")
     dec = decompose(q)
     if dec.kind == "sign_balanced":
-        return k == 0
-    return at_least_k(dec.base, k)
+        return k == 0, 0
+    return _at_least_k(dec.base, k)
 
 
 def count_f(n_total: int) -> dict:

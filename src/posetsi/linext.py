@@ -19,15 +19,16 @@ against the others:
   criterion but the Euler table check keep to the walk.
 - Brute enumeration, a depth-first walk on an explicit stack that
   stores no down-sets. ``_extension_orders`` yields each extension as an
-  element order, for ``enumerate_extensions``, ``at_least_k`` and
+  element order, for ``enumerate_extensions`` and
   ``domino.exists_q_adapted``. ``_enumerated_signed``, the brute route
-  that counts and signs every extension, runs its own loop of the same
+  that counts and signs every extension (and, capped, counts the
+  extensions of ``at_least_k``), runs its own loop of the same
   shape: each frame also carries its prefix's parity, which placing an
   element updates by the sign rule below, and the last element, being
   forced, is counted and signed without a frame. The loops stay
   separate because sharing one would make the order generator carry a
   parity its other callers do not need, and build a tuple per extension
-  that the signed count does not need.
+  that the counts do not need.
 - The quotient route, ``domino.si_via_quotients``, signs only the
   fixed points of ``phi``, the extensions built from dominoes, by a
   walk over the down-sets of even size that they reach; it shares
@@ -48,8 +49,10 @@ step in the walk, the quotient route and the brute route, and per
 sequence in ``_parity``. The walk stores one popcount layer at a time and raises
 :class:`ResourceLimit` the moment the number of stored down-sets would
 pass the cap, before the rest of the layer is built. ``at_least_k``
-falls back to enumeration, and stops after the first k extensions, when
-the lattice is too large for a walk of fewer than k steps.
+falls back to the brute route, which stops at the k-th extension, when
+the lattice is too large for a walk of fewer than k steps; its private
+twin ``_at_least_k`` also returns how many extensions that enumerated,
+which criterion 9 bounds by k.
 """
 
 from itertools import accumulate
@@ -402,7 +405,8 @@ def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:
         covers = _upper_covers(p)
         full = (1 << n) - 1
         last = n - 1  # frames on the stack once only the last element is left
-        stack = [[0, p.minimal_mask, p.minimal_mask, 0]]
+        first = p.minimal_mask
+        stack = [[0, first, first, 0]]
         while stack:
             frame = stack[-1]
             mask, addable, untried, parity = frame
@@ -457,23 +461,28 @@ def at_least_k(p: Poset, k: int) -> bool:
     down-sets: each one costs its storing plus at most n steps over its
     addable elements, so the capped walk takes at most k steps, no more
     than enumerating k extensions. The cap is clamped to ``DOWNSET_CAP``
-    to bound memory. A lattice that outgrows it falls back to
-    enumeration, which stops after the first k extensions.
+    to bound memory. A lattice that outgrows it falls back to the brute
+    route, which stops at the k-th extension.
     """
+    return _at_least_k(p, k)[0]
+
+
+def _at_least_k(p: Poset, k: int) -> tuple[bool, int]:
+    """``at_least_k`` and the number of extensions it enumerated: 0 when
+    the capped walk decided, else e(P) or k, whichever is less."""
     if k <= 0:
-        return True
+        return True, 0
     cap = min(k // (p.n + 1), DOWNSET_CAP)
     if cap:
         try:
-            return count_extensions(p, cap) >= k
+            return count_extensions(p, cap) >= k, 0
         except ResourceLimit:
             pass
-    hits = 0
-    for _ in _extension_orders(p):
-        hits += 1
-        if hits >= k:
-            return True
-    return False
+    try:
+        e = _enumerated_signed(p, k - 1)[0]
+    except ResourceLimit:
+        return True, k
+    return False, e
 
 
 def phi(p: Poset, labels: tuple[int, ...]) -> tuple[int, ...]:

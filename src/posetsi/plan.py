@@ -46,7 +46,7 @@ from .linext import (
     count_extensions,
     forest_count,
 )
-from .poset import Poset, iter_bits
+from .poset import Poset, _components, iter_bits
 
 __all__ = ["e", "signed"]
 
@@ -59,31 +59,6 @@ PEEL_STATES = 1 << 16
 # e or None, the signed sum or None, and the route of a part that does
 # not split
 Answer = tuple[int | None, int | None, str]
-
-
-def _components(p: Poset, mask: int, comparable: bool = True) -> list[int]:
-    """The components of the elements of ``mask`` as masks, each grown
-    from its lowest element: in the comparability graph (the Hasse
-    components) or, unless ``comparable``, in the incomparability graph,
-    whose neighbours of x are mask ^ (up[x] | down[x]) less those outside
-    mask."""
-    up, down = p.up, p.down
-    flip = 0 if comparable else mask
-    parts = []
-    while mask:
-        comp = new = mask & -mask
-        while new:
-            reach = 0
-            while new:
-                low = new & -new
-                new ^= low
-                x = low.bit_length() - 1
-                reach |= (up[x] | down[x]) ^ flip
-            new = reach & mask & ~comp
-            comp |= new
-        parts.append(comp)
-        mask ^= comp
-    return parts
 
 
 def _summands(p: Poset, mask: int) -> list[int]:

@@ -255,6 +255,31 @@ def disjoint_union(p: Poset, q: Poset) -> Poset:
     return Poset(p.n + q.n, tuple(up))
 
 
+def _components(p: Poset, mask: int, comparable: bool = True) -> list[int]:
+    """The components of the elements of ``mask`` as masks, each grown
+    from its lowest element: in the comparability graph (the Hasse
+    components) or, unless ``comparable``, in the incomparability graph,
+    whose neighbours of x are mask ^ (up[x] | down[x]) less those outside
+    mask."""
+    up, down = p.up, p.down
+    flip = 0 if comparable else mask
+    parts = []
+    while mask:
+        comp = new = mask & -mask
+        while new:
+            reach = 0
+            while new:
+                low = new & -new
+                new ^= low
+                x = low.bit_length() - 1
+                reach |= (up[x] | down[x]) ^ flip
+            new = reach & mask & ~comp
+            comp |= new
+        parts.append(comp)
+        mask ^= comp
+    return parts
+
+
 def stats(p: Poset) -> PosetStats:
     """Height, comparable-pair count, cover count, Hasse components."""
     n = p.n

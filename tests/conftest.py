@@ -7,12 +7,11 @@ equality the tests assert.
 
 import os
 from itertools import permutations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
-from posetsi import from_covers, linext
+from posetsi import from_covers
 
 
 def brute_label_arrays(n, relations):
@@ -67,22 +66,6 @@ def allow_cpus(monkeypatch, count):
     monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
     )
-
-
-@pytest.fixture
-def pulls(monkeypatch):
-    """Counts, in ``pulls.count``, the extensions that the enumerator of
-    ``linext`` yields."""
-    counter = SimpleNamespace(count=0)
-    original = linext._extension_orders
-
-    def counting(p):
-        for order in original(p):
-            counter.count += 1
-            yield order
-
-    monkeypatch.setattr(linext, "_extension_orders", counting)
-    return counter
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from posetsi import acceptance, domino, linext
+from posetsi import acceptance, domino, h2, linext
 from posetsi.euler import check_congruence
 from posetsi.generate import enumerate_posets
 from conftest import allow_cpus
@@ -45,6 +45,26 @@ def test_criterion_13_table_primes_and_odd_moduli():
     # criterion reports through its known-defect flag
     assert result.known_defect, result.details
     assert not result.ok
+
+
+def test_criterion_9_fails_on_a_decision_past_its_k(monkeypatch):
+    decide = h2._h2sb_decide
+    calls = []
+
+    def overshooting(q, k):
+        calls.append(k)
+        decided, pulled = decide(q, k)
+        return decided, k + 1 if len(calls) == 1 else pulled
+
+    monkeypatch.setattr(h2, "_h2sb_decide", overshooting)
+    result = acceptance.criterion_9()
+    assert len(calls) == 7392
+    assert not result.ok
+    assert result.details == [
+        "7392 (poset, k) decisions, 0 disagreements",
+        "decided by the down-set walk with no extension pulled: 69",
+        "calls enumerating more than their k: 1",
+    ]
 
 
 @pytest.mark.xfail(

@@ -34,7 +34,7 @@ from posetsi import (
 )
 from posetsi import domino, linext
 from posetsi.h2 import build_lift, good_base
-from posetsi.poset import iter_bits
+from posetsi.poset import _components, iter_bits
 
 
 def test_fence_six_has_unique_tableau():
@@ -490,7 +490,8 @@ def test_block_connectivity_matches_hasse_components():
         for p in enumerate_posets(n):
             for block in range(1, 1 << n):
                 sub = p.subposet(list(iter_bits(block)))
-                assert domino._connected(p, block) == (stats(sub).components <= 1)
+                connected = len(_components(p, block)) == 1
+                assert connected == (stats(sub).components <= 1)
                 blocks += 1
     assert blocks == 22269
 

@@ -3,6 +3,7 @@ import pytest
 from posetsi import (
     ResourceLimit,
     check_congruence,
+    congruence_failures,
     count_extensions,
     euler_numbers,
     euler_numbers_mod,
@@ -47,6 +48,37 @@ def test_congruence_fails_for_two():
     # parity of the Euler numbers alternates from n = 3 on, so the shift
     # identity cannot hold mod 2; this records the arithmetic fact
     assert not any(check_congruence(n, 2) for n in range(3, 31))
+
+
+def test_congruence_failures_match_the_exact_table():
+    for q in (2, 3, 5, 7, 11, 13):
+        for max_n in (0, 1, 3, 4, 12, 30, 60):
+            table = euler_numbers(max(max_n, 1))
+            want = [
+                n
+                for n in range(q + 1, max_n + 1)
+                if table[n - 1] % q != table[q - 1] * table[n - q] % q
+            ]
+            assert congruence_failures(max_n, q) == want
+            held = [check_congruence(n, q) for n in range(q + 1, max_n + 1)]
+            assert [n for n, ok in enumerate(held, q + 1) if not ok] == want
+
+
+def test_congruence_failures_build_one_table(monkeypatch):
+    from posetsi import euler
+
+    built = []
+    table = euler.euler_numbers_mod
+
+    def counting(n, q):
+        built.append(n)
+        return table(n, q)
+
+    monkeypatch.setattr(euler, "euler_numbers_mod", counting)
+    assert congruence_failures(12, 2) == list(range(3, 13))
+    assert built == [12]
+    assert congruence_failures(5, 5) == []
+    assert built == [12]  # no table when no n lies above q
 
 
 def test_congruence_domain():

@@ -30,7 +30,7 @@ from posetsi import (
     stats,
     zigzag,
 )
-from posetsi import domino
+from posetsi import domino, h2
 
 
 def test_good_set_counts():
@@ -294,13 +294,14 @@ def test_h2sb_large_threshold_via_lift():
     assert not h2sb_decide(lifted, 62)
 
 
-def test_h2sb_decides_a_large_lift_by_the_walk(pulls):
+def test_h2sb_decides_a_large_lift_by_the_walk():
     # the base has 256 down-sets, at most 40,320 // 9, so the down-set
     # walk decides and no extension is enumerated
     lifted = build_lift(antichain(8), good_base(antichain(8)))
+    assert h2._h2sb_decide(lifted, 40320) == (True, 0)
+    assert h2._h2sb_decide(lifted, 40321) == (False, 0)
     assert h2sb_decide(lifted, 40320)
     assert not h2sb_decide(lifted, 40321)
-    assert pulls.count == 0
 
 
 def test_h2sb_matches_brute():

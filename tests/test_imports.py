@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,55 @@ def test_module_import_graph():
         for path in sorted(src.glob("*.py"))
     }
     assert got == want
+
+
+def _module_names(tree: ast.AST) -> set[str]:
+    """Names that a module's imports, anywhere in it, bind to modules."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "posetsi"
+            )
+            for a in node.names:
+                try:
+                    importlib.import_module(f"{base}.{a.name}")
+                except ImportError:
+                    continue
+                out.add(a.asname or a.name)
+    return out
+
+
+def _module_attribute_writes(tree: ast.AST) -> list[str]:
+    """Stores to and deletions of an attribute of a module object, by
+    any statement or by setattr and delattr, as 'line: source'."""
+    modules = _module_names(tree)
+
+    def on_module(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id in modules
+
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and on_module(node.value)
+        or isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("setattr", "delattr")
+        and on_module(node.args[0])
+    ]
+
+
+def test_no_module_assigns_an_attribute_of_a_module():
+    # work is counted by return values, never by patching a module
+    src = Path(posetsi.__file__).parent
+    got = {
+        path.stem: _module_attribute_writes(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {stem: hits for stem, hits in got.items() if hits} == {}
 
 
 def _loaded(code: str, names: set[str]) -> list[str]:

@@ -391,7 +391,7 @@ def test_at_least_k_near_chain():
     assert at_least_k(p, 0)
 
 
-def test_at_least_k_enumerates_at_most_k(pulls):
+def test_at_least_k_enumerates_at_most_k():
     p = antichain(6)  # 64 down-sets, 720 extensions
     # below k = 7 * 64 the walk's cap k // 7 is under the 64 down-sets,
     # so at_least_k enumerates; from there on the walk answers alone
@@ -403,12 +403,11 @@ def test_at_least_k_enumerates_at_most_k(pulls):
         (720, True, 0),
         (721, False, 0),
     ):
-        pulls.count = 0
+        assert linext._at_least_k(p, k) == (want, pulled)
         assert at_least_k(p, k) == want
-        assert pulls.count == pulled
 
 
-def test_at_least_k_matches_the_walk_count(pulls, monkeypatch):
+def test_at_least_k_matches_the_walk_count(monkeypatch):
     walk = linext.count_extensions
     caps = []
 
@@ -422,21 +421,20 @@ def test_at_least_k_matches_the_walk_count(pulls, monkeypatch):
         for p in enumerate_posets(n):
             e = walk(p)
             for k in (*range(10), e - 1, e, e + 1, 2 * e, 20 * e):
-                pulls.count = 0
                 caps.clear()
-                assert at_least_k(p, k) == (e >= k)
-                assert pulls.count <= k
+                decided, pulled = linext._at_least_k(p, k)
+                assert decided == (e >= k)
+                assert pulled <= k
                 assert all(cap <= k // (n + 1) for cap in caps)
                 # e >= 1, so an enumeration pulls at least one extension
-                walked += k > 0 and pulls.count == 0
-                enumerated += pulls.count > 0
+                walked += k > 0 and pulled == 0
+                enumerated += pulled > 0
     assert walked and enumerated
 
 
-def test_at_least_k_clamps_the_walk_to_the_downset_cap(pulls, monkeypatch):
+def test_at_least_k_clamps_the_walk_to_the_downset_cap(monkeypatch):
     monkeypatch.setattr(linext, "DOWNSET_CAP", 10)
-    assert not at_least_k(antichain(6), 10**9)
-    assert pulls.count == 720
+    assert linext._at_least_k(antichain(6), 10**9) == (False, 720)
 
 
 def test_sign_identity_and_transposition():
