@@ -71,12 +71,12 @@ def _cmd_si(args) -> int:
     count = brute = None
     # e is None after the height-2 inverse, whose walk for e runs out of
     # memory on lifts; there n! bounds e
-    if (math.factorial(p.n) if e is None else e) <= args.enum_cap:
-        count, brute = _enumerated_signed(p, cap=args.enum_cap)
+    if (math.factorial(p.n) if e is None else e) <= ENUM_CAP:
+        count, brute = _enumerated_signed(p, cap=ENUM_CAP)
         e = count if e is None else e
-    # the quotient route part by part, since the signed join needs only
-    # part sizes; the planner's answer already is it when every part that
-    # did not split took the quotient walk
+    # the quotient route part by part, since a split's signed factors
+    # need only part sizes and labels; the planner's answer already is it
+    # when every part that did not split took the quotient walk
     if set(route.split(" + ")) <= {"split", "quotient"}:
         quot = signed
     else:
@@ -363,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         s,
         "it bounds each walk: the quotient route's, over the down-sets of "
         "even size that dominoes reach, and the walk that counts e",
-    )
-    s.add_argument(
-        "--enum-cap", type=_nonnegative, default=ENUM_CAP,
-        help="enumerate extensions for the brute-force route only when "
-        "e is at most this (n! where e is not counted)",
     )
     s.set_defaults(func=_cmd_si)
 

@@ -27,7 +27,7 @@ from .linext import (
     _upper_covers,
     _validate,
 )
-from .poset import Poset, _components, from_covers, iter_bits
+from .poset import Poset, _components, _cover_down, from_covers, iter_bits
 
 __all__ = [
     "DominoTableau",
@@ -118,9 +118,7 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
         yield DominoTableau((), None)
         return
 
-    hasse = list(p.cover_up)  # Hasse neighbours of each element
-    for x, y in p.covers():
-        hasse[y] |= 1 << x
+    hasse = [u | d for u, d in zip(p.cover_up, _cover_down(p))]  # Hasse neighbours
 
     def steps(uncovered: int, singleton: int | None):
         # (part, elements left uncovered, singleton) per way to cover the

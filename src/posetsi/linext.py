@@ -60,7 +60,7 @@ from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidExtension, ResourceLimit
-from .poset import Poset, iter_bits
+from .poset import Poset, _cover_down, iter_bits
 
 __all__ = [
     "SignedCount",
@@ -299,10 +299,7 @@ def forest_count(p: Poset) -> SignedCount | None:
     n = p.n
     if n and sum(m.bit_count() for m in p.cover_up) >= n:
         return None  # a forest has n - (components) < n cover edges
-    nbrs = list(p.cover_up)  # Hasse neighbours of each element
-    for x, up in enumerate(p.cover_up):
-        for y in iter_bits(up):
-            nbrs[y] |= 1 << x
+    nbrs = [u | d for u, d in zip(p.cover_up, _cover_down(p))]  # Hasse neighbours
     order: list[int] = []  # elements in preorder
     children: list[list[int]] = [[] for _ in range(n)]
     roots = seen = 0

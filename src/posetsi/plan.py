@@ -9,10 +9,13 @@
    into a block of consecutive indices, the next part above the last,
    the signed sums follow the same rules, except that a union takes the
    multinomial at q = -1, a product of ``_binom_minus_one`` (Stanley,
-   Adv. Appl. Math. 2005). The parity of listing the parts' elements
-   part after part, each part in increasing order, puts the signed sum
-   back in the caller's labelling. Parts are planned again on an
-   explicit work stack, so nothing recurses however deep the splits go.
+   Adv. Appl. Math. 2005), and both splits take the parity of listing
+   the parts' elements part after part, each part in increasing order,
+   to put the signed sum back in the caller's labelling. So both answers
+   are running products, with no join: each split multiplies in its
+   factors, and each part that does not split its answer. Parts are
+   planned again on an explicit work stack, so nothing recurses however
+   deep the splits go.
 2. ``forest_count`` on a Hasse forest (yields both).
 3. The height-2 inverse, for the signed sum only. ``h2.decompose``
    either certifies sign balance, or finds the lift's one domino tableau
@@ -46,7 +49,7 @@ from .linext import (
     count_extensions,
     forest_count,
 )
-from .poset import Poset, _components, iter_bits
+from .poset import Poset, _components, _cover_down, iter_bits
 
 __all__ = ["e", "signed"]
 
@@ -74,61 +77,49 @@ def _summands(p: Poset, mask: int) -> list[int]:
     return sorted(parts, key=below)
 
 
-def _join(
-    ordinal: bool, parts: list[int], answers: list[tuple[int | None, int | None]]
-) -> tuple[int | None, int | None]:
-    """e and the signed sum of the parts' union, or with ``ordinal`` of
-    their ordinal sum, from each part's (None where a part's is None)."""
-    total = sgn = 1
-    size = 0
-    for part, (pe, ps) in zip(parts, answers):
-        k = part.bit_count()
-        size += k
-        ways, signs = (1, 1) if ordinal else (comb(size, k), _binom_minus_one(size, k))
-        total = None if total is None or pe is None else total * pe * ways
-        sgn = None if sgn is None or ps is None else sgn * ps * signs
-    if sgn:
-        sgn *= _parity(x for part in parts for x in iter_bits(part))
-    return total, sgn
-
-
 def _plan(p: Poset, leaf: Callable[[Poset], Answer]) -> Answer:
-    """Split p as far as it goes, on an explicit stack, answer each part
-    that does not split by ``leaf``, and join the answers back up. A
+    """Split p as far as it goes, on an explicit stack, and answer each
+    part that does not split by ``leaf``. e and the signed sum are
+    running products (None once a part's is None): a split multiplies in
+    its factors, a leaf its answer in its own increasing labelling, and
+    the parities of the relabellings multiply as they compose. A
     component of a union does not split into components again, nor a
     summand of an ordinal sum into summands, so a part tries only the
-    split that did not make it. The route names every rule used, in the
-    order of ``ROUTES``."""
+    split that did not make it. Parts are answered first part first, so
+    of two parts past a cap the first raises. The route names every rule
+    used, in the order of ``ROUTES``."""
     full = (1 << p.n) - 1
     used: set[str] = set()
-    # (mask, ordinal: the split that made it, None for p) to answer,
-    # or (parts, ordinal) to join
-    todo: list = [(full, None)]
-    done: list[tuple[int | None, int | None]] = []
+    total: int | None = 1
+    sgn: int | None = 1
+    # (mask, ordinal: the split that made it, None for p)
+    todo: list[tuple[int, bool | None]] = [(full, None)]
     while todo:
-        what, made_by = todo.pop()
-        if isinstance(what, list):
-            answers = done[-len(what):]
-            del done[-len(what):]
-            done.append(_join(made_by, what, answers))
-            continue
-        if what != full and not what & (what - 1):  # a part of one element
-            done.append((1, 1))
+        mask, made_by = todo.pop()
+        if mask != full and not mask & (mask - 1):  # a part of one element
             continue
         for ordinal in (False, True):
             if made_by is not ordinal:
-                parts = _summands(p, what) if ordinal else _components(p, what)
+                parts = _summands(p, mask) if ordinal else _components(p, mask)
                 if len(parts) > 1:
                     break
         else:
-            total, sgn, route = leaf(p if what == full else p.subposet(iter_bits(what)))
+            pe, ps, route = leaf(p if mask == full else p.subposet(iter_bits(mask)))
             used.add(route)
-            done.append((total, sgn))
+            total = None if total is None or pe is None else total * pe
+            sgn = None if sgn is None or ps is None else sgn * ps
             continue
         used.add("split")
-        todo.append((parts, ordinal))
+        if not ordinal:  # the multinomial, and at q = -1
+            size = 0
+            for part in parts:
+                k = part.bit_count()
+                size += k
+                total = None if total is None else total * comb(size, k)
+                sgn = None if sgn is None else sgn * _binom_minus_one(size, k)
+        if sgn:
+            sgn *= _parity(x for part in parts for x in iter_bits(part))
         todo += [(part, ordinal) for part in reversed(parts)]  # first part first
-    [(total, sgn)] = done
     return total, sgn, " + ".join(r for r in ROUTES if r in used)
 
 
@@ -178,10 +169,7 @@ def _peel(q: Poset, budget: int) -> int:
     if sum(not d for d in down) <= sum(not u for u in up):
         beyond, covers = up, q.cover_up
     else:  # peel maximal elements, so the covers below
-        beyond, covers = down, [0] * q.n
-        for x, c in enumerate(q.cover_up):
-            for y in iter_bits(c):
-                covers[y] |= 1 << x
+        beyond, covers = down, _cover_down(q)
     beyond, near = _or_tables(beyond), _or_tables(rel)
     memo: dict[int, int] = {}
     get = memo.get

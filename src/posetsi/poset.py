@@ -255,6 +255,17 @@ def disjoint_union(p: Poset, q: Poset) -> Poset:
     return Poset(p.n + q.n, tuple(up))
 
 
+def _cover_down(p: Poset) -> list[int]:
+    """The mask of the elements that each element covers: ``cover_up``
+    transposed. Built per call, not kept on ``Poset``, so that the census,
+    which builds posets by the hundred thousand, does not pay for it."""
+    down = [0] * p.n
+    for x, c in enumerate(p.cover_up):
+        for y in iter_bits(c):
+            down[y] |= 1 << x
+    return down
+
+
 def _components(p: Poset, mask: int, comparable: bool = True) -> list[int]:
     """The components of the elements of ``mask`` as masks, each grown
     from its lowest element: in the comparability graph (the Hasse

@@ -39,20 +39,27 @@ def test_si_reports_all_routes(capsys):
 
 
 def test_si_skips_brute_over_cap(capsys):
-    code, out, _ = run(capsys, "si", "antichain:4", "--enum-cap", "3", "--json")
+    code, out, _ = run(capsys, "si", "antichain:10", "--json")  # e = 10! > 10^6
     assert code == 0
     rep = json.loads(out)
     assert rep["si_brute"] is None
-    assert rep["e"] == "24"
+    assert rep["e"] == "3628800"
 
 
-def test_si_brute_route_uses_enum_cap(capsys, monkeypatch):
-    from posetsi import linext
+def test_si_brute_route_uses_enum_cap(capsys, monkeypatch, tmp_path):
+    # brute force runs just when e, or n! while e is uncounted, is at most
+    # ENUM_CAP, and enumerates under that cap, not the function's default
+    from posetsi import cli, linext
 
-    monkeypatch.setattr(linext._enumerated_signed, "__defaults__", (5,))
-    code, out, _ = run(capsys, "si", "antichain:3", "--enum-cap", "6", "--json")
-    assert code == 0
-    assert json.loads(out)["si_brute"] == "0"
+    lift = tmp_path / "lift.poset"  # 6 elements, e = 57 left uncounted
+    lift.write_text(write_poset(build_lift(chain(3), good_base(chain(3)) | {(0, 2)})))
+    monkeypatch.setattr(linext._enumerated_signed, "__defaults__", (1,))
+    for spec, bound, brute in (("antichain:3", 6, "0"), (str(lift), 720, "1")):
+        for cap, want in ((bound, brute), (bound - 1, None)):
+            monkeypatch.setattr(cli, "ENUM_CAP", cap)
+            code, out, _ = run(capsys, "si", spec, "--json")
+            assert code == 0
+            assert json.loads(out)["si_brute"] == want
 
 
 def test_si_brute_route_does_not_revalidate(capsys, monkeypatch):
@@ -308,6 +315,13 @@ def test_euler_table_json(capsys):
     assert json.loads(out) == {"max_n": 4, "values": ["1", "1", "2", "5"]}
 
 
+def test_euler_table_needs_a_term(capsys):
+    code, out, err = run(capsys, "euler", "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least one term\n"
+
+
 def test_euler_primes(capsys):
     code, out, _ = run(capsys, "euler", "--primes", "--bound", "250")
     assert code == 0
@@ -355,7 +369,7 @@ def test_exit_code_malformed(capsys, tmp_path):
         ("count", "chain:3", "--downset-cap", "1_0"),
         ("count", "chain:3", "--downset-cap", "\u0663"),
         ("count", "chain:3", "--downset-cap", "-1"),
-        ("si", "chain:3", "--enum-cap", "+5"),
+        ("si", "chain:3", "--downset-cap", "+5"),
         ("ruskey", "chain:3", "--graph-cap", "-1"),
         ("ruskey", "chain:3", "--path-cap", "1e3"),
         ("h2sb", "antichain:2", "--k", "+1"),
@@ -492,7 +506,7 @@ def test_option_inventory():
     # every flag of every subcommand; a new flag belongs in this table
     want = {
         "count": ["--downset-cap", "--json"],
-        "si": ["--downset-cap", "--enum-cap", "--json"],
+        "si": ["--downset-cap", "--json"],
         "domino": ["--json"],
         "lift": ["--json", "--rel"],
         "decompose": ["--json"],
@@ -617,8 +631,11 @@ def test_si_enumerates_small_lifts(capsys, tmp_path):
     rep = json.loads(out)
     assert (rep["e"], rep["si"], rep["si_brute"]) == ("57", "1", "1")
     assert rep["route"] == "height-2"
-    code, out, _ = run(capsys, "si", str(path), "--enum-cap", "719")
+    # a lift of chain(5) with a cycle: 10! is over the enumeration cap
+    path.write_text(write_poset(build_lift(chain(5), good_base(chain(5)) | {(0, 2)})))
+    code, out, _ = run(capsys, "si", str(path))
     assert code == 0
+    assert "(height-2)" in out
     assert "e = not counted\n" in out
     assert "si (brute force) = skipped: e not counted\n" in out
 

@@ -213,6 +213,12 @@ def test_matching_that_is_not_a_tableau(no_tableau_poset):
         quotient(no_tableau_poset, t)
 
 
+def test_singleton_overlapping_a_pair():
+    for t in (DominoTableau(((0, 1),), 1), DominoTableau(((1, 2),), 1)):
+        with pytest.raises(MalformedPartition, match="parts overlap"):
+            quotient(chain(3), t)
+
+
 def test_eight_cycle_tableaux(eight_cycle):
     tabs = enumerate_tableaux(eight_cycle)
     assert len(tabs) == 2
@@ -480,6 +486,14 @@ def test_antichain_three_not_three_adapted():
         assert not is_q_adapted(p, lab, 3)
     assert not exists_q_adapted(p, 3)
     assert count_mod(p, 3) == 0  # consistent with the divisibility lemma
+
+
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_q_adapted_needs_blocks_of_two_or_more(q):
+    with pytest.raises(ValueError):
+        is_q_adapted(chain(2), (0, 1), q)
+    with pytest.raises(ValueError):
+        exists_q_adapted(chain(2), q)
 
 
 def test_block_connectivity_matches_hasse_components():

@@ -81,6 +81,14 @@ def test_congruence_failures_build_one_table(monkeypatch):
     assert built == [12]  # no table when no n lies above q
 
 
+def test_tables_need_a_term_and_a_modulus():
+    with pytest.raises(ValueError, match="at least one term"):
+        euler_numbers(0)
+    for nmax, q in ((0, 3), (-1, 5), (3, 1), (3, 0)):
+        with pytest.raises(ValueError, match="nmax >= 1 and modulus >= 2"):
+            euler_numbers_mod(nmax, q)
+
+
 def test_congruence_domain():
     with pytest.raises(ValueError):
         check_congruence(3, 3)

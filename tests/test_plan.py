@@ -1,5 +1,5 @@
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +122,55 @@ def test_deep_splits_need_no_recursion():
         assert p == q and count_extensions(p) == e
     p, e = _deep(2000)  # over 1,300 levels of splits, none a forest
     assert plan.e(p) == (e, "split")
+
+
+def test_nests_three_to_five_levels_deep():
+    # a union of ordinal sums of unions (of ordinal sums ...), each join of
+    # the nest so far and a class with a nonzero signed sum, so that the
+    # signed sums are zero only where a union's q = -1 binomial is
+    rng = random.Random(24)
+    leaves = [p for n in range(1, 5) for p in enumerate_posets(n)]
+    leaves = [p for p in leaves if signed_count(p).signed]
+    nonzero = 0
+    for depth in (3, 4, 5):
+        for _ in range(60):
+            p = rng.choice(leaves)
+            for level in reversed(range(depth)):
+                pair = [p, rng.choice(leaves)]
+                rng.shuffle(pair)
+                p = (disjoint_union, ordinal_sum)[level % 2](*pair)
+            p = p.relabel(rng.sample(range(p.n), p.n))
+            assert _agrees_with_the_walk(p).startswith("split")
+            nonzero += plan.signed(p)[0] != 0
+    assert 60 <= nonzero < 180
+
+
+def _signed_nest(k):
+    """(N_k, e(N_k) = (2k + 1)!!), with N_0 one point and N_{k+1} =
+    (N_k + a) | b: N_k below a new point a, beside a new point b. Built
+    from its rows in one pass: the a of round j is 2j - 1 and its b is
+    2j, so each element lies below the odd elements above it."""
+    n = 2 * k + 1
+    odd = sum(1 << x for x in range(1, n, 2))
+    up = tuple(odd & ~((2 << x) - 1) for x in range(n))
+    return Poset(n, up), prod(range(1, n + 1, 2))
+
+
+def test_signed_nest():
+    # each union's q = -1 binomial [2k + 3 choose 1] is 1, so the signed
+    # sum is the labelling's parity alone
+    q = chain(1)
+    for k in range(7):
+        p, e = _signed_nest(k)
+        assert p == q
+        rev = p.relabel(reversed(range(p.n)))
+        for r, sgn in ((p, 1), (rev, (-1) ** k)):
+            assert signed_count(r)[:2] == (e, sgn)
+            _agrees_with_the_walk(r)
+        q = disjoint_union(ordinal_sum(q, chain(1)), chain(1))
+    p, e = _signed_nest(501)  # 1,002 levels of splits, each multiplying in its sign
+    assert plan.signed(p) == (1, e, "split")
+    assert plan.signed(p.relabel(reversed(range(p.n)))) == (-1, e, "split")
 
 
 def test_routes_of_named_families():
