@@ -69,14 +69,9 @@ def canonical_form(p: Poset) -> bytes:
             if colors[v] == want and v not in placed_set:
                 kept.setdefault((up[v], down[v]), v)
         for v in kept.values():
-            step = []
-            for q in placed:
-                if up[q] >> v & 1:
-                    step.append(1)
-                elif up[v] >> q & 1:
-                    step.append(2)
-                else:
-                    step.append(0)
+            # whether each placed q lies below v: positions go in color order,
+            # and an element above v has a larger down-set, so a larger color
+            step = [down[v] >> q & 1 for q in placed]
             if best is not None:
                 ref = best[len(codes) : len(codes) + pos]
                 if step > ref:
@@ -94,7 +89,8 @@ def canonical_form(p: Poset) -> bytes:
     placed_set: set[int] = set()
     rec(0)
     assert best is not None
-    out = bytes([n]) + bytes(best)
+    # past 255 the size byte saturates; the n(n - 1)/2 codes tell sizes apart
+    out = bytes([min(n, 255)]) + bytes(best)
     p._canon = out
     return out
 

@@ -115,8 +115,8 @@ def decompose(q: Poset) -> Decomposition:
     along it would give a second perfect matching. So the pairs, with the
     isolated element as the singleton, are the one domino tableau.
     """
-    height = stats(q).height
-    if height > 2:
+    if any(up and down for up, down in zip(q.up, q.down)):  # height > 2
+        height = stats(q).height
         raise HeightExceeded(f"requires height at most 2, got height {height}")
     iso = q.isolated_mask
     if iso.bit_count() != q.n % 2:

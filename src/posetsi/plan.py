@@ -11,11 +11,11 @@
    multinomial at q = -1, a product of ``_binom_minus_one`` (Stanley,
    Adv. Appl. Math. 2005), and both splits take the parity of listing
    the parts' elements part after part, each part in increasing order,
-   to put the signed sum back in the caller's labelling. So both answers
-   are running products, with no join: each split multiplies in its
-   factors, and each part that does not split its answer. Parts are
-   planned again on an explicit work stack, so nothing recurses however
-   deep the splits go.
+   to put the signed sum back in the caller's labelling. The planner
+   splits first, on an explicit work stack, so nothing recurses however
+   deep the splits go; then it multiplies in each part's answers and
+   one parity, of all the parts listed part after part, which composes
+   every split's relabelling.
 2. ``forest_count`` on a Hasse forest (yields both).
 3. The height-2 inverse, for the signed sum only. ``h2.decompose``
    either certifies sign balance, or finds the lift's one domino tableau
@@ -78,48 +78,50 @@ def _summands(p: Poset, mask: int) -> list[int]:
 
 
 def _plan(p: Poset, leaf: Callable[[Poset], Answer]) -> Answer:
-    """Split p as far as it goes, on an explicit stack, and answer each
-    part that does not split by ``leaf``. e and the signed sum are
-    running products (None once a part's is None): a split multiplies in
-    its factors, a leaf its answer in its own increasing labelling, and
-    the parities of the relabellings multiply as they compose. A
-    component of a union does not split into components again, nor a
-    summand of an ordinal sum into summands, so a part tries only the
-    split that did not make it. Parts are answered first part first, so
-    of two parts past a cap the first raises. The route names every rule
-    used, in the order of ``ROUTES``."""
+    """Split p as far as it goes, multiplying in the splits' factors,
+    then answer each part that does not split by ``leaf``, in its own
+    increasing labelling, first part first, so of two parts past a cap
+    the first raises. A component of a union does not split into
+    components again, nor a summand of an ordinal sum into summands, so
+    a part tries only the split that did not make it. One parity of the
+    parts' elements, listed part after part, puts the signed sum back in
+    p's labelling, skipped once the sum is 0 or None. The route names
+    every rule used, in the order of ``ROUTES``."""
     full = (1 << p.n) - 1
-    used: set[str] = set()
     total: int | None = 1
     sgn: int | None = 1
+    parts_left: list[int] = []  # the parts that do not split, first part first
     # (mask, ordinal: the split that made it, None for p)
     todo: list[tuple[int, bool | None]] = [(full, None)]
     while todo:
         mask, made_by = todo.pop()
-        if mask != full and not mask & (mask - 1):  # a part of one element
+        parts: list[int] = []
+        if mask == full or mask & (mask - 1):  # a part of one element stays
+            for ordinal in (False, True):
+                if made_by is not ordinal:
+                    parts = _summands(p, mask) if ordinal else _components(p, mask)
+                    if len(parts) > 1:
+                        break
+        if len(parts) < 2:
+            parts_left.append(mask)
             continue
-        for ordinal in (False, True):
-            if made_by is not ordinal:
-                parts = _summands(p, mask) if ordinal else _components(p, mask)
-                if len(parts) > 1:
-                    break
-        else:
-            pe, ps, route = leaf(p if mask == full else p.subposet(iter_bits(mask)))
-            used.add(route)
-            total = None if total is None or pe is None else total * pe
-            sgn = None if sgn is None or ps is None else sgn * ps
-            continue
-        used.add("split")
         if not ordinal:  # the multinomial, and at q = -1
             size = 0
             for part in parts:
                 k = part.bit_count()
                 size += k
-                total = None if total is None else total * comb(size, k)
-                sgn = None if sgn is None else sgn * _binom_minus_one(size, k)
-        if sgn:
-            sgn *= _parity(x for part in parts for x in iter_bits(part))
+                total *= comb(size, k)
+                sgn *= _binom_minus_one(size, k)
         todo += [(part, ordinal) for part in reversed(parts)]  # first part first
+    used = {"split"} if len(parts_left) > 1 else set()
+    for mask in parts_left:
+        if mask == full or mask & (mask - 1):  # one-element parts answer 1
+            pe, ps, route = leaf(p if mask == full else p.subposet(iter_bits(mask)))
+            used.add(route)
+            total = None if total is None or pe is None else total * pe
+            sgn = None if sgn is None or ps is None else sgn * ps
+    if sgn and len(parts_left) > 1:
+        sgn *= _parity(x for part in parts_left for x in iter_bits(part))
     return total, sgn, " + ".join(r for r in ROUTES if r in used)
 
 

@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from posetsi import acceptance, domino, h2, linext
+from posetsi.errors import ResourceLimit
 from posetsi.euler import check_congruence
 from posetsi.generate import enumerate_posets
 from conftest import allow_cpus
@@ -65,6 +66,19 @@ def test_criterion_9_fails_on_a_decision_past_its_k(monkeypatch):
         "decided by the down-set walk with no extension pulled: 69",
         "calls enumerating more than their k: 1",
     ]
+
+
+@pytest.mark.parametrize(
+    "number, census, first", [(6, "count_f", 6), (7, "odd_e_bounds", 2)], ids=["6", "7"]
+)
+def test_census_criteria_fail_with_the_error_text(monkeypatch, number, census, first):
+    def raising(n):
+        raise ResourceLimit(f"census of {n} over its cap")
+
+    monkeypatch.setattr(h2, census, raising)
+    result = NUMBERED[number]()
+    assert not result.ok
+    assert result.details == [f"census of {first} over its cap"]
 
 
 @pytest.mark.xfail(

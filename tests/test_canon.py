@@ -109,3 +109,30 @@ def test_empty_poset():
 
     assert canonical_form(Poset(0, ())) == b"\x00"
     assert is_isomorphic(Poset(0, ()), Poset(0, ()))
+
+
+def test_an_element_below_v_has_a_smaller_color():
+    # so it is placed before v, and a placed element never lies above the
+    # one being placed: each code is one bit
+    from posetsi.canon import _refined_colors
+
+    for n in range(8):
+        for p in enumerate_posets(n):
+            colors = _refined_colors(p)
+            for v in range(n):
+                below = [u for u in range(n) if p.down[v] >> u & 1]
+                assert all(colors[u] < colors[v] for u in below)
+
+
+def test_forms_past_255_elements():
+    assert is_isomorphic(chain(300), chain(300))
+    assert not is_isomorphic(chain(300), zigzag(300))
+    form = canonical_form(chain(300))
+    assert form[0] == 255 and len(form) == 1 + 300 * 299 // 2
+    assert form != canonical_form(zigzag(300))
+    assert canonical_form(chain(255))[0] == 255  # the size byte saturates
+
+
+def test_posets_of_different_sizes_are_not_isomorphic():
+    assert not is_isomorphic(chain(3), chain(4))
+    assert not is_isomorphic(antichain(0), antichain(1))

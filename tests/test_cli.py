@@ -265,6 +265,22 @@ def test_ruskey(capsys):
     assert rep["si"] == 1 and rep["path_found"]
 
 
+def test_ruskey_exits_1_when_the_report_breaks_the_conjecture(capsys, monkeypatch):
+    from posetsi import ruskey
+
+    real = ruskey._graph_report
+
+    def no_path(p, g, path_cap):
+        rep = real(p, g, path_cap)
+        return {**rep, "path_found": False, "consistent_with_conjecture": False}
+
+    monkeypatch.setattr(ruskey, "_graph_report", no_path)
+    code, out, _ = run(capsys, "ruskey", "zigzag:4", "--hampath", "--json")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["si"] == 1 and rep["consistent_with_conjecture"] is False
+
+
 def test_ruskey_dump_graph(capsys):
     code, out, _ = run(capsys, "ruskey", "antichain:2", "--dump-graph")
     assert code == 0

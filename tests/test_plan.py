@@ -210,3 +210,23 @@ def test_peel_hands_over_to_the_walk(monkeypatch):
     # a down-set cap under the peel's states leaves the cap to the walk
     with pytest.raises(ResourceLimit):
         plan.e(grid(3, 4), downset_cap=20)
+
+
+def test_a_plan_takes_one_parity_at_most(monkeypatch):
+    # the relabellings of nested splits compose into one listing, whose
+    # parity is taken once, and not at all once the signed sum is None
+    calls = 0
+    real = plan._parity
+
+    def counting(seq):
+        nonlocal calls
+        calls += 1
+        return real(seq)
+
+    monkeypatch.setattr(plan, "_parity", counting)
+    p, e = _signed_nest(50)
+    assert plan.signed(p) == (1, e, "split")
+    assert calls == 1  # where a parity per split would take 100
+    calls = 0
+    assert plan.e(grid(3, 4)) == (462, "split + peel")
+    assert calls == 0

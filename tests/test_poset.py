@@ -197,6 +197,11 @@ def test_poset_hash_and_eq():
     assert zigzag(4) != chain(4)
 
 
+def test_repr_shows_size_and_covers():
+    assert repr(zigzag(4)) == "Poset(4, [(0, 1), (2, 1), (2, 3)])"
+    assert repr(Poset(0, ())) == "Poset(0, [])"
+
+
 def test_zero_size_families():
     for p in (chain(0), antichain(0), zigzag(0), grid(0, 3), grid(2, 0)):
         assert p.n == 0
