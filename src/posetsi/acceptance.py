@@ -341,12 +341,12 @@ def _c12_worker(p: Poset) -> bool:
 
 
 def criterion_12() -> CriterionResult:
-    classes = [p for n in range(7) for p in enumerate_posets(n)]
+    classes = [p for n in range(8) for p in enumerate_posets(n)]
     bad = sum(not _c12_worker(p) for p in classes)
     return CriterionResult(
         12,
         "block-adapted extensions exist whenever q does not divide e "
-        "(n <= 6, q in {2, 3, 5})",
+        "(n <= 7, q in {2, 3, 5})",
         bad == 0,
         [f"{len(classes)} classes checked, {bad} violations"],
     )

@@ -3,7 +3,7 @@
 The canonical form is the lexicographically least relation encoding over
 all element orderings compatible with an iteratively refined vertex
 partition. Refinement plus twin pruning keeps the search small for the
-n <= 12 regime this toolkit targets.
+n <= 12 regime this toolkit targets; an explicit stack lets it go deeper.
 """
 
 from .poset import Poset, iter_bits
@@ -53,41 +53,48 @@ def canonical_form(p: Poset) -> bytes:
     pos_color = sorted(colors)
     up, down = p.up, p.down
 
+    # twins, with equal up and down rows, give equal codes: v is tried only
+    # when it alone is unplaced in twins[v], the mask of it and its lower twins
+    twins = [1 << v for v in range(n)]
+    if pos_color[-1] < n - 1:  # some color is shared, so there may be twins
+        seen: dict[tuple[int, int], int] = {}
+        for v, rows in enumerate(zip(up, down)):
+            twins[v] = seen[rows] = seen.get(rows, 0) | 1 << v
+
     best: list[int] | None = None
     placed: list[int] = []
     codes: list[int] = []
-
-    def rec(pos: int) -> None:
-        nonlocal best
-        if pos == n:
-            best = codes.copy()
-            return
-        want = pos_color[pos]
-        # twins, with equal up and down rows, give equal codes: try one
-        kept: dict[tuple[int, int], int] = {}
-        for v in range(n):
-            if colors[v] == want and v not in placed_set:
-                kept.setdefault((up[v], down[v]), v)
-        for v in kept.values():
-            # whether each placed q lies below v: positions go in color order,
-            # and an element above v has a larger down-set, so a larger color
-            step = [down[v] >> q & 1 for q in placed]
-            if best is not None:
-                ref = best[len(codes) : len(codes) + pos]
-                if step > ref:
-                    continue
-                if step < ref:
-                    best = None  # current prefix strictly better; rebuild
-            placed.append(v)
-            placed_set.add(v)
-            codes.extend(step)
-            rec(pos + 1)
-            del codes[len(codes) - pos :]
-            placed_set.discard(v)
-            placed.pop()
-
-    placed_set: set[int] = set()
-    rec(0)
+    mask = 0
+    # per position, an iterator over its candidates; the first color is 0
+    todo = [iter([v for v in range(n) if not colors[v] and twins[v] == 1 << v])]
+    while todo:
+        v = next(todo[-1], None)
+        if v is None:
+            todo.pop()
+            if placed:
+                mask ^= 1 << placed.pop()
+                del codes[len(codes) - len(placed) :]
+            continue
+        pos = len(placed)
+        # whether each placed q lies below v: positions go in color order,
+        # and an element above v has a larger down-set, so a larger color
+        step = [down[v] >> q & 1 for q in placed]
+        if best is not None:
+            ref = best[len(codes) : len(codes) + pos]
+            if step > ref:
+                continue
+            if step < ref:
+                best = None  # current prefix strictly better; rebuild
+        if pos + 1 == n:
+            best = codes + step
+            continue
+        placed.append(v)
+        mask |= 1 << v
+        codes.extend(step)
+        want = pos_color[pos + 1]
+        todo.append(iter([
+            u for u in range(n) if colors[u] == want and twins[u] & ~mask == 1 << u
+        ]))
     assert best is not None
     # past 255 the size byte saturates; the n(n - 1)/2 codes tell sizes apart
     out = bytes([min(n, 255)]) + bytes(best)

@@ -8,13 +8,14 @@ equivalently, the induced quotient relation is acyclic. ``quotient`` is
 the one place that decides this: a partition is a tableau exactly when
 ``from_covers`` accepts its quotient relation, built from the cover
 pairs between parts. Listing the tableaux (``enumerate_tableaux``, CLI
-``domino``) counts the cover matchings up to ``MATCHING_CAP`` before it
+``domino``) collects the cover matchings, up to ``MATCHING_CAP``, before it
 builds each one's quotient once, and ``_term`` reads the sign of a
 tableau from its pairs and its adapted count from the quotient, with no
 label array. ``si_via_quotients`` sums the same terms without listing
 them, to the signed sum over all extensions: one signed walk over the
 down-sets that sequences of dominoes reach, bounded by a down-set cap,
-not by ``MATCHING_CAP``."""
+not by ``MATCHING_CAP``. ``exists_q_adapted`` reads the layers of the
+down-set walk that counts e(P), and lists no extension."""
 
 from typing import Iterator, NamedTuple
 
@@ -22,7 +23,7 @@ from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
 from .linext import DOWNSET_CAP, count_extensions
 from .linext import (
     _downset_limit,
-    _extension_orders,
+    _layers,
     _parity,
     _upper_covers,
     _validate,
@@ -163,11 +164,9 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
 
 def _tableaux(p: Poset) -> Iterator[tuple[DominoTableau, Poset]]:
     """Each cover matching that is a tableau, with its quotient. The
-    matchings are walked once first, so that ``MATCHING_CAP`` fires before
-    any quotient is built."""
-    for _ in _cover_matchings(p):
-        pass
-    for t in _cover_matchings(p):
+    matchings are collected in one walk first, so that ``MATCHING_CAP``
+    fires before any quotient is built."""
+    for t in list(_cover_matchings(p)):
         try:
             q = quotient(p, t)
         except NotATableau:
@@ -290,26 +289,35 @@ def si_via_quotients(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
     return total
 
 
-def _blocks_connected(p: Poset, order, q: int) -> bool:
-    """Each block of q consecutive places of an element order induces a
-    connected subposet (up to q-1 places at the end are ignored)."""
-    return all(
-        len(_components(p, sum(1 << x for x in order[i : i + q]))) == 1
-        for i in range(0, p.n - q + 1, q)
-    )
-
-
 def is_q_adapted(p: Poset, labels: tuple[int, ...], q: int) -> bool:
     """Blocks of q consecutive labels must each induce a connected
     subposet (up to q-1 top labels are left over and ignored)."""
     if q < 2:
         raise ValueError("block size must be at least 2")
     _validate(p, labels)
-    return _blocks_connected(p, sorted(range(p.n), key=labels.__getitem__), q)
+    order = sorted(range(p.n), key=labels.__getitem__)
+    return all(
+        len(_components(p, sum(1 << x for x in order[i : i + q]))) == 1
+        for i in range(0, p.n - q + 1, q)
+    )
 
 
 def exists_q_adapted(p: Poset, q: int) -> bool:
-    """Search all extensions for a q-adapted one, exiting early on a hit."""
+    """Whether some extension is q-adapted, decided on the layers of
+    ``linext._layers`` with no extension listed. ``reach`` holds the
+    down-sets of size j*q that j connected q-blocks build from the empty
+    one; a down-set D of the next such layer joins when D - R is connected
+    for some R in ``reach`` below it. R and D are down-sets, so that block
+    may follow R in any order that respects P, and so may the fewer than
+    q elements left after the last block."""
     if q < 2:
         raise ValueError("block size must be at least 2")
-    return any(_blocks_connected(p, order, q) for order in _extension_orders(p))
+    reach = [0]
+    # the walk stops at the last block's layer
+    for k, layer in zip(range(p.n // q * q + 1), _layers(p)):
+        if k and not k % q:
+            reach = [
+                d for d in layer
+                if any(not r & ~d and len(_components(p, d ^ r)) == 1 for r in reach)
+            ]
+    return bool(reach)

@@ -12,23 +12,22 @@ against the others:
 - The down-set walk, ``_layers``, serves every poset and every public
   count: e(P), or e(P) and the signed sum together in a single pass,
   e(P) mod q and the list of down-sets that poset generation attaches
-  new elements over.
+  new elements over. ``domino.exists_q_adapted`` reads its layers too.
 - The forest route, ``forest_count``, takes O(n^2) big-integer steps
   when the Hasse diagram is a forest (fences, chains, antichains, trees)
   and declines every other poset. The public counts and every
   criterion but the Euler table check keep to the walk.
 - Brute enumeration, a depth-first walk on an explicit stack that
-  stores no down-sets. ``_extension_orders`` yields each extension as an
-  element order, for ``enumerate_extensions`` and
-  ``domino.exists_q_adapted``. ``_enumerated_signed``, the brute route
-  that counts and signs every extension (and, capped, counts the
-  extensions of ``at_least_k``), runs its own loop of the same
-  shape: each frame also carries its prefix's parity, which placing an
-  element updates by the sign rule below, and the last element, being
-  forced, is counted and signed without a frame. The loops stay
-  separate because sharing one would make the order generator carry a
-  parity its other callers do not need, and build a tuple per extension
-  that the counts do not need.
+  stores no down-sets. ``enumerate_extensions`` writes each element's
+  label as it places it and keeps the label array of each full order.
+  ``_enumerated_signed``, the brute route that counts and signs every
+  extension (and, capped, counts the extensions of ``at_least_k``),
+  runs its own loop of the same shape: each frame also carries its
+  prefix's parity, which placing an element updates by the sign rule
+  below, and the last element, being forced, is counted and signed
+  without a frame. The loops stay separate because sharing one would
+  make the listing carry a parity it does not need, and build a tuple
+  per extension that the counts do not need.
 - The quotient route, ``domino.si_via_quotients``, signs only the
   fixed points of ``phi``, the extensions built from dominoes, by a
   walk over the down-sets of even size that they reach; it shares
@@ -339,60 +338,19 @@ def forest_count(p: Poset) -> SignedCount | None:
     return SignedCount(e, signed_sum, abs(signed_sum))
 
 
-def _extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:
-    """Yield extensions as element sequences (label order), depth first
-    with ascending element choice, on an explicit stack so that no chain
-    is too long for it. Each depth carries its addable set forward from
-    the depth above, as ``_layers`` does: the element just placed drops
-    out, and each upper cover of it whose elements below are now all
-    placed joins. So a step tries only addable elements, and a full
-    sequence is yielded without a frame of its own."""
-    n = p.n
-    if not n:
-        yield ()
-        return
-    covers = _upper_covers(p)
-    full = (1 << n) - 1
-    seq: list[int] = []
-    mask = 0
-    addable = [p.minimal_mask]  # per depth
-    todo = addable[:]  # per depth, the addable elements not yet tried there
-    while todo:
-        free = todo[-1]
-        if not free:
-            todo.pop()
-            addable.pop()
-            if seq:
-                mask ^= 1 << seq.pop()
-            continue
-        low = free & -free
-        todo[-1] = free ^ low
-        x = low.bit_length() - 1
-        seq.append(x)
-        mask |= low
-        if mask == full:
-            yield tuple(seq)
-            seq.pop()
-            mask ^= low
-            continue
-        nxt = addable[-1] ^ low
-        for ybit, below in covers[x]:
-            if not below & ~mask:
-                nxt |= ybit
-        addable.append(nxt)
-        todo.append(nxt)
-
-
 def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:
     """(count, signed sum) over the extensions, each visited and counted
     one at a time, raising ResourceLimit at extension ``cap`` + 1.
 
-    A depth-first walk like ``_extension_orders``, whose frames each
-    carry the placed mask, the addable set, the untried set and the
-    parity of the prefix. Placing x after the placed elements above it
-    flips the parity once per such element, the sign rule of ``_layers``.
-    With one element left it is forced, so the extension is counted and
-    signed on the spot, without a frame of its own. The signed sum is the
+    A depth-first walk with ascending element choice, on an explicit
+    stack so that no chain is too long for it. Each frame carries the
+    placed mask, the addable set, the untried set and the parity of the
+    prefix. A child's addable set is its parent's less x, plus each upper
+    cover of x whose elements below are now all placed, as in
+    ``_layers``. Placing x after the placed elements above it flips the
+    parity once per such element, the sign rule of ``_layers``. With one
+    element left it is forced, so the extension is counted and signed on
+    the spot, without a frame of its own. The signed sum is the
     count less twice the odd extensions."""
     n = p.n
     count = odd = 0
@@ -432,20 +390,44 @@ def _enumerated_signed(p: Poset, cap: int = ENUM_CAP) -> tuple[int, int]:
     return count, count - 2 * odd
 
 
-def _labels_of_order(order: tuple[int, ...]) -> tuple[int, ...]:
-    labels = [0] * len(order)
-    for pos, x in enumerate(order):
-        labels[x] = pos + 1
-    return tuple(labels)
-
-
 def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> Iterator[tuple[int, ...]]:
-    """All linear extensions as label arrays, lexicographically sorted."""
+    """All linear extensions as label arrays, lexicographically sorted,
+    raising ResourceLimit at extension ``cap`` + 1.
+
+    A depth-first walk like ``_enumerated_signed``, whose frames carry
+    the placed mask, the addable set and the untried set. Placing an
+    element writes its label, the depth, and a full order is kept as
+    its label array without a frame of its own."""
+    n = p.n
+    if not n:
+        return iter([()])
+    covers = _upper_covers(p)
+    full = (1 << n) - 1
     found = []
-    for order in _extension_orders(p):
-        found.append(_labels_of_order(order))
-        if len(found) > cap:
-            raise ResourceLimit(f"extension count exceeded cap {cap}")
+    labels = [0] * n
+    first = p.minimal_mask
+    stack = [[0, first, first]]
+    while stack:
+        frame = stack[-1]
+        mask, addable, untried = frame
+        if not untried:
+            stack.pop()
+            continue
+        low = untried & -untried
+        frame[2] = untried ^ low
+        x = low.bit_length() - 1
+        labels[x] = len(stack)
+        mask |= low
+        if mask == full:
+            found.append(tuple(labels))
+            if len(found) > cap:
+                raise ResourceLimit(f"extension count exceeded cap {cap}")
+            continue
+        nxt = addable ^ low
+        for ybit, below in covers[x]:
+            if not below & ~mask:
+                nxt |= ybit
+        stack.append([mask, nxt, nxt])
     found.sort()
     return iter(found)
 

@@ -133,6 +133,17 @@ def test_forms_past_255_elements():
     assert canonical_form(chain(255))[0] == 255  # the size byte saturates
 
 
+def test_a_chain_of_1100_gets_a_form():
+    # the search keeps one list of untried elements per position on an
+    # explicit stack, so its depth is not bounded by the recursion limit
+    from posetsi.poset import ordinal_sum
+
+    n = 1100
+    form = canonical_form(chain(n))
+    assert form[0] == 255 and len(form) == 1 + n * (n - 1) // 2
+    assert form == canonical_form(ordinal_sum(chain(600), chain(500)))
+
+
 def test_posets_of_different_sizes_are_not_isomorphic():
     assert not is_isomorphic(chain(3), chain(4))
     assert not is_isomorphic(antichain(0), antichain(1))

@@ -1,5 +1,6 @@
 from itertools import permutations
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -108,11 +109,15 @@ def _accepted(p, t):
 
 
 def _adapted_extension(p, t):
-    """Labels 2i - 1 and 2i on the i-th part of the quotient's first
-    extension (ascending choice), each pair bottom first. That schedules
-    the singleton part, maximal and last by index, last, with label n."""
+    """Labels 2i - 1 and 2i on the i-th part of the quotient's
+    lexicographically least element order (ascending choice), each pair
+    bottom first. That schedules the singleton part, maximal and last by
+    index, last, with label n."""
     parts = domino._parts(t)
-    order = next(linext._extension_orders(quotient(p, t)))
+    q = quotient(p, t)
+    order = min(
+        sorted(range(q.n), key=lab.__getitem__) for lab in enumerate_extensions(q)
+    )
     labels = [0] * p.n
     for pos, x in enumerate(x for v in order for x in parts[v]):
         labels[x] = pos + 1
@@ -516,6 +521,34 @@ def test_q_adapted_existence_sweep():
             for q in (2, 3, 5):
                 if count_mod(p, q) != 0:
                     assert exists_q_adapted(p, q)
+
+
+def test_q_adapted_existence_matches_the_brute_route_and_lists_nothing(monkeypatch):
+    classes = [p for n in range(7) for p in enumerate_posets(n)]
+    qs = (2, 3, 4, 5)
+    brute = [
+        any(is_q_adapted(p, lab, q) for lab in enumerate_extensions(p))
+        for p in classes
+        for q in qs
+    ]
+    assert not hasattr(linext, "_extension_orders")
+    assert not hasattr(linext, "_labels_of_order")
+
+    def listing(*args, **kwargs):
+        raise AssertionError("exists_q_adapted listed extensions")
+
+    monkeypatch.setattr(linext, "enumerate_extensions", listing)
+    monkeypatch.setattr(linext, "_enumerated_signed", listing)
+    assert [exists_q_adapted(p, q) for p in classes for q in qs] == brute
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_q_adapted_existence_on_a_long_fence_is_fast(q):
+    # the 16-element fence has 19,391,512,145 extensions, too many to
+    # list, but few down-sets per layer
+    start = time.perf_counter()
+    assert exists_q_adapted(zigzag(16), q)
+    assert time.perf_counter() - start < 1
 
 
 def test_empty_poset_tableau():
