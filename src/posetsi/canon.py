@@ -2,37 +2,45 @@
 
 The canonical form is the lexicographically least relation encoding over
 all element orderings compatible with an iteratively refined vertex
-partition. Refinement plus twin pruning keeps the search small for the
+partition. Refinement stops once every color is held by one element.
+Twin pruning, on ``poset._twins``, keeps the search small for the
 n <= 12 regime this toolkit targets; an explicit stack lets it go deeper.
+Two posets are isomorphic exactly when their forms are equal.
 """
 
-from .poset import Poset, iter_bits
+from .poset import Poset, _twins, iter_bits
 
 __all__ = ["canonical_form", "is_isomorphic"]
 
 
 def _refined_colors(p: Poset) -> list[int]:
     """Stable vertex colors; isomorphic posets get identical color lists
-    up to relabeling. Colors are dense ranks of invariant signatures."""
+    up to relabeling. Colors are dense ranks of invariant signatures. A
+    color held by one element is final: its signature is the color alone,
+    which keeps its rank, since the color leads every signature."""
     n = p.n
     sig = [
         (p.down[v].bit_count(), p.up[v].bit_count(), p.cover_up[v].bit_count())
         for v in range(n)
     ]
     colors = _rank(sig)
-    classes = len(set(colors))
-    while True:
+    last, classes = 0, len(set(colors))
+    while last < classes < n:
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
         sig = []
-        for v in range(n):
+        for v, c in enumerate(colors):
+            if size[c] == 1:
+                sig.append((c,))
+                continue
             above = sorted(colors[j] for j in iter_bits(p.up[v]))
             below = sorted(colors[j] for j in iter_bits(p.down[v]))
             covup = sorted(colors[j] for j in iter_bits(p.cover_up[v]))
-            sig.append((colors[v], tuple(above), tuple(below), tuple(covup)))
+            sig.append((c, tuple(above), tuple(below), tuple(covup)))
         colors = _rank(sig)
-        new_classes = len(set(colors))
-        if new_classes == classes:
-            return colors
-        classes = new_classes
+        last, classes = classes, len(set(colors))
+    return colors
 
 
 def _rank(signatures: list) -> list[int]:
@@ -51,15 +59,10 @@ def canonical_form(p: Poset) -> bytes:
     colors = _refined_colors(p)
     # positions are filled class by class in color order
     pos_color = sorted(colors)
-    up, down = p.up, p.down
-
-    # twins, with equal up and down rows, give equal codes: v is tried only
-    # when it alone is unplaced in twins[v], the mask of it and its lower twins
-    twins = [1 << v for v in range(n)]
-    if pos_color[-1] < n - 1:  # some color is shared, so there may be twins
-        seen: dict[tuple[int, int], int] = {}
-        for v, rows in enumerate(zip(up, down)):
-            twins[v] = seen[rows] = seen.get(rows, 0) | 1 << v
+    down = p.down
+    # twins give equal codes: v is tried only when it alone is unplaced in
+    # twins[v], the mask of it and its lower twins
+    twins = _twins(p)
 
     best: list[int] | None = None
     placed: list[int] = []
@@ -103,8 +106,4 @@ def canonical_form(p: Poset) -> bytes:
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
-    if p.n != q.n:
-        return False
-    if sorted(m.bit_count() for m in p.up) != sorted(m.bit_count() for m in q.up):
-        return False
     return canonical_form(p) == canonical_form(q)

@@ -3,8 +3,8 @@
 Posets are given as named families (chain:n, antichain:n, zigzag:n,
 grid:m:n), as files in the line-oriented text format, or as '-' for
 standard input. Exit codes: 0 success, 1 verification failure, 2
-malformed input, 3 resource cap exceeded or out of memory or recursion
-depth.
+malformed input, 3 resource cap exceeded or out of resources: memory,
+recursion depth, or a size past what Python can index (``OverflowError``).
 
 ``count`` and ``si`` take the cheapest sound route, by ``plan``. ``si``
 names it and checks it against the quotient route, run part by part on
@@ -447,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (MemoryError, RecursionError) as exc:
+    except (MemoryError, OverflowError, RecursionError) as exc:
         print(f"out of resources: {type(exc).__name__} {exc}", file=sys.stderr)
         return 3
     except (PosetsiError, ValueError, OSError) as exc:

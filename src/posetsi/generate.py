@@ -6,10 +6,10 @@ level by level and deduplicated through canonical forms. Two sound rules
 drop a candidate down-set D of a parent before any canonical form is
 computed (McKay, "Isomorph-free exhaustive generation", 1998):
 
-* Twin orbits. Elements with equal up and down rows are twins, and any
-  permutation inside a twin group is an automorphism of the parent. D is
-  kept only if it meets every twin group in a prefix, its lowest-indexed
-  members.
+* Twin orbits. Elements with equal up and down rows are twins
+  (``poset._twins``), and any permutation inside a twin group is an
+  automorphism of the parent. D is kept only if it meets every twin
+  group in a prefix: with an element, D holds all its lower twins.
 * Canonical deletion. A maximal element x has the key (|down x|, number
   of lower covers, sorted |down y| over its lower covers y), which reads
   down-rows only and is invariant under isomorphism. D is kept only if no
@@ -56,7 +56,7 @@ from typing import Iterable, Iterator
 from .canon import _refined_colors, canonical_form
 from .errors import VerificationError
 from .linext import _layers
-from .poset import Poset, iter_bits, stats
+from .poset import Poset, _twins, iter_bits, stats
 
 __all__ = ["enumerate_posets", "poset_class_count"]
 
@@ -95,20 +95,15 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]
         choices: Iterable[int] = _submasks(rep.minimal_mask)
     else:
         choices = sorted(mask for layer in _layers(rep) for mask in layer)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(rep.n):
-        groups.setdefault((rep.up[i], rep.down[i]), []).append(i)
-    # (lower, higher) neighbours in a twin group: D holds higher only with lower
-    steps = [
-        (1 << g[j], 1 << g[j + 1]) for g in groups.values() for j in range(len(g) - 1)
-    ]
+    # (v, v and its lower twins) for each v with a lower twin
+    twinned = [(1 << v, m) for v, m in enumerate(_twins(rep)) if m != 1 << v]
     maxima = sorted(
         ((_key(rep, rep.down[x]), 1 << x) for x in range(rep.n) if not rep.up[x]),
         reverse=True,
     )
     colors = _refined_colors(rep)
     for down_mask in choices:
-        if any(down_mask & hi and not down_mask & lo for lo, hi in steps):
+        if any(down_mask & bit and m & ~down_mask for bit, m in twinned):
             continue
         rival = next((k for k, bit in maxima if not down_mask & bit), None)
         key = _key(rep, down_mask)

@@ -54,7 +54,9 @@ from .poset import Poset, _components, _cover_down, iter_bits
 __all__ = ["e", "signed"]
 
 ROUTES = ("split", "forest", "height-2", "quotient", "peel", "walk")
-PEEL_N = 64  # a peel step reads n/8 tables; a larger part takes the walk
+# a peel step reads n/8 tables and recurses once per peeled element, so
+# this keeps it far under the recursion limit; a larger part takes the walk
+PEEL_N = 64
 # the peel keeps every state it answered, the walk two layers; past this
 # many states, the walk takes over
 PEEL_STATES = 1 << 16

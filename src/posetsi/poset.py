@@ -266,6 +266,17 @@ def _cover_down(p: Poset) -> list[int]:
     return down
 
 
+def _twins(p: Poset) -> list[int]:
+    """Per element, the mask of it and its lower-indexed twins: elements
+    with equal ``up`` and ``down`` rows, which swap by an automorphism."""
+    seen: dict[tuple[int, int], int] = {}
+    twins = []
+    for v, rows in enumerate(zip(p.up, p.down)):
+        seen[rows] = seen.get(rows, 0) | 1 << v
+        twins.append(seen[rows])
+    return twins
+
+
 def _components(p: Poset, mask: int, comparable: bool = True) -> list[int]:
     """The components of the elements of ``mask`` as masks, each grown
     from its lowest element: in the comparability graph (the Hasse

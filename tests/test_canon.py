@@ -83,16 +83,67 @@ def test_canonical_form_against_brute_classes():
 
 def test_twins_are_the_transpositions_that_are_automorphisms():
     # the twin rule of canonical_form and generate._children: swapping
-    # u and w fixes the order exactly when their up and down rows agree
+    # u and w fixes the order exactly when their up and down rows agree,
+    # and poset._twins gives each element the mask of it and such lower w
+    from posetsi.poset import _twins
+
     rng = random.Random(13)
-    for n in range(2, 7):
+    for n in range(7):
         for p in enumerate_posets(n):
             for q in (p, p.relabel(rng.sample(range(n), n))):
+                masks = [1 << v for v in range(n)]
                 for u, w in combinations(range(n), 2):
                     swap = list(range(n))
                     swap[u], swap[w] = w, u
-                    twins = q.up[u] == q.up[w] and q.down[u] == q.down[w]
-                    assert (q.relabel(swap) == q) == twins
+                    swaps = q.relabel(swap) == q
+                    assert swaps == (q.up[u] == q.up[w] and q.down[u] == q.down[w])
+                    if swaps:
+                        masks[w] |= 1 << u
+                assert _twins(q) == masks
+
+
+def _reference_colors(p):
+    """The refinement that re-signs every element in every round, even
+    one alone in its color, until the number of colors stops growing."""
+    from posetsi.poset import iter_bits
+
+    def rank(signatures):
+        order = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        return [order[s] for s in signatures]
+
+    def sorted_colors(colors, mask):
+        return tuple(sorted(colors[j] for j in iter_bits(mask)))
+
+    colors = rank([
+        (p.down[v].bit_count(), p.up[v].bit_count(), p.cover_up[v].bit_count())
+        for v in range(p.n)
+    ])
+    while True:
+        new = rank([
+            (
+                colors[v],
+                sorted_colors(colors, p.up[v]),
+                sorted_colors(colors, p.down[v]),
+                sorted_colors(colors, p.cover_up[v]),
+            )
+            for v in range(p.n)
+        ])
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def test_refinement_that_leaves_lone_colors_gives_the_same_colors():
+    from posetsi.canon import _refined_colors
+
+    rng = random.Random(17)
+    for n in range(8):
+        for p in enumerate_posets(n):
+            for _ in range(2):
+                q = p.relabel(rng.sample(range(n), n))
+                assert _refined_colors(q) == _reference_colors(q)
+    for p in (chain(300), zigzag(300), antichain(12)):
+        assert _refined_colors(p) == _reference_colors(p)
 
 
 def test_highly_symmetric_inputs_stay_fast():

@@ -705,6 +705,28 @@ def test_exit_code_memory(capsys, monkeypatch):
     assert "MemoryError" in err
 
 
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("family", ["chain", "zigzag", "antichain"])
+def test_exit_code_for_a_family_too_large_to_index(capsys, family):
+    # chain and zigzag build 1 << n, antichain n rows: each overflows
+    code, out, err = run(capsys, "count", f"{family}:{HUGE}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("out of resources: OverflowError")
+
+
+def test_exit_code_for_a_file_too_large_to_index(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"n {HUGE}\n"))
+    code, out, err = run(capsys, "count", "-")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("out of resources: OverflowError")
+
+
 def test_verify_all_has_no_threads_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-all", "--threads", "1"])
