@@ -110,7 +110,7 @@ def _cmd_domino(args) -> int:
     from . import domino
 
     p = _load_poset(args.poset)
-    tabs = sorted(domino._tableaux(p), key=lambda tq: tq[0])
+    tabs = list(domino._tableaux(p))
     items = []
     total = 0
     lines = [f"tableaux: {len(tabs)}"]
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(s):
         s.add_argument("--json", action="store_true", help="machine output")
-        s.set_defaults(func=None)
         return s
 
     def downset_cap(s, bounds):

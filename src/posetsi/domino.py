@@ -8,8 +8,8 @@ equivalently, the induced quotient relation is acyclic. ``quotient`` is
 the one place that decides this: a partition is a tableau exactly when
 ``from_covers`` accepts its quotient relation, built from the cover
 pairs between parts. Listing the tableaux (``enumerate_tableaux``, CLI
-``domino``) collects the cover matchings, up to ``MATCHING_CAP``, before it
-builds each one's quotient once, and ``_term`` reads the sign of a
+``domino``) collects and sorts the cover matchings, up to ``MATCHING_CAP``,
+before it builds each one's quotient once, and ``_term`` reads the sign of a
 tableau from its pairs and its adapted count from the quotient, with no
 label array. ``si_via_quotients`` sums the same terms without listing
 them, to the signed sum over all extensions: one signed walk over the
@@ -113,7 +113,7 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
     ``MATCHING_CAP`` of them. The walk is depth first: the lowest uncovered
     element is paired with an element covering it, then with one it
     covers, then left as the singleton. It keeps one explicit stack frame
-    per part, so that no chain is too long for it."""
+    per part, holding that part, so that no chain is too long for it."""
     n = p.n
     if n == 0:
         yield DominoTableau((), None)
@@ -141,32 +141,29 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
             yield None, rest, u
 
     produced = 0
-    stack = [steps((1 << n) - 1, None)]
-    path = []  # the part that opened each frame above the first
+    # per frame: the part that opened it (None on the first) and its steps
+    stack = [(None, steps((1 << n) - 1, None))]
     while stack:
-        step = next(stack[-1], None)
+        step = next(stack[-1][1], None)
         if step is None:
             stack.pop()
-            if path:
-                path.pop()
             continue
         part, uncovered, singleton = step
         if uncovered:
-            path.append(part)
-            stack.append(steps(uncovered, singleton))
+            stack.append((part, steps(uncovered, singleton)))
             continue
         produced += 1
         if produced > MATCHING_CAP:
             raise ResourceLimit(f"matching count exceeded cap {MATCHING_CAP}")
-        pairs = sorted(filter(None, path + [part]))
+        pairs = sorted(filter(None, [opened for opened, _ in stack] + [part]))
         yield DominoTableau(tuple(pairs), singleton)
 
 
 def _tableaux(p: Poset) -> Iterator[tuple[DominoTableau, Poset]]:
-    """Each cover matching that is a tableau, with its quotient. The
-    matchings are collected in one walk first, so that ``MATCHING_CAP``
-    fires before any quotient is built."""
-    for t in list(_cover_matchings(p)):
+    """Each cover matching that is a tableau, with its quotient, sorted
+    by pair list. The matchings are all collected in one walk and sorted
+    first, so that ``MATCHING_CAP`` fires before any quotient is built."""
+    for t in sorted(_cover_matchings(p)):
         try:
             q = quotient(p, t)
         except NotATableau:
@@ -175,8 +172,8 @@ def _tableaux(p: Poset) -> Iterator[tuple[DominoTableau, Poset]]:
 
 
 def enumerate_tableaux(p: Poset) -> list[DominoTableau]:
-    """All domino tableaux, sorted by their pair lists."""
-    return sorted(t for t, _ in _tableaux(p))
+    """All domino tableaux, in ``_tableaux``'s order of pair lists."""
+    return [t for t, _ in _tableaux(p)]
 
 
 def _term(t: DominoTableau, q: Poset) -> tuple[int, int]:

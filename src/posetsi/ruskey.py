@@ -103,63 +103,53 @@ def hamiltonian_path(
 ) -> list[int] | None:
     """A Hamiltonian path as vertex indices, or None after an exhaustive
     search. A bipartite part-size gap of 2 or more rules a path out
-    immediately; the backtracking prefers low-degree continuations and
-    keeps one explicit stack frame per path vertex. Each vertex entered,
-    on any branch, is one search node; past ``cap`` nodes the search
-    raises ResourceLimit."""
-    nv = len(g.vertices)
-    if nv == 0:
-        return []
+    immediately. The backtracking runs in one loop over an explicit
+    stack: each frame holds a path vertex, its unvisited neighbours and
+    its untried choices, low-degree continuations first, and the first
+    frame's choices are the start vertices. The path is read off the
+    frames once it holds every vertex. Each vertex entered, on any
+    branch, is one search node; past ``cap`` nodes the search raises
+    ResourceLimit."""
     plus, minus = part_sizes(g)
-    if abs(plus - minus) > 1:
-        return None
-    if not is_connected(g):
+    if abs(plus - minus) > 1 or not is_connected(g):
         return None
     adjacency = g.adjacency
+    nv = len(adjacency)
     degree = [len(a) for a in adjacency]
     visited = [False] * nv
-    path: list[int] = []
-    # per path vertex: its unvisited neighbours and its untried choices
-    stack = []
+    # the first frame holds no vertex, and its choices are the starts
+    stack = [(None, [], iter(sorted(range(nv), key=degree.__getitem__)))]
     nodes = 0
-
-    def enter(v: int) -> None:
-        nonlocal nodes
+    while stack:
+        if len(stack) > nv:
+            return [v for v, _, _ in stack[1:]]
+        v, unvisited, choices = stack[-1]
+        w = next(choices, None)
+        if w is None:
+            stack.pop()
+            for u in unvisited:
+                degree[u] += 1
+            if stack:
+                visited[v] = False
+            continue
         nodes += 1
         if nodes > cap:
             raise ResourceLimit(
                 f"Hamiltonian path search visited {nodes} nodes, over its "
                 f"budget of {cap}; raise it with --path-cap"
             )
-        path.append(v)
-        visited[v] = True
-        unvisited = [w for w in adjacency[v] if not visited[w]]
-        for w in unvisited:
-            degree[w] -= 1
-        # a neighbor left with no other unvisited neighbor must come next
-        forced = [w for w in unvisited if degree[w] == 0]
-        if len(forced) > 1:
-            choices: list[int] = []
-        elif forced:
-            choices = forced
-        else:
-            choices = sorted(unvisited, key=degree.__getitem__)
-        stack.append((unvisited, iter(choices)))
-
-    for s in sorted(range(nv), key=degree.__getitem__):
-        enter(s)
-        while stack:
-            if len(path) == nv:
-                return path
-            unvisited, choices = stack[-1]
-            w = next(choices, None)
-            if w is None:
-                stack.pop()
-                for u in unvisited:
-                    degree[u] += 1
-                visited[path.pop()] = False
-            else:
-                enter(w)
+        visited[w] = True
+        unvisited = [u for u in adjacency[w] if not visited[u]]
+        for u in unvisited:
+            degree[u] -= 1
+        # a neighbor left with no other unvisited neighbor must come next,
+        # and two such neighbors end the branch
+        nexts = [u for u in unvisited if degree[u] == 0]
+        if len(nexts) > 1:
+            nexts = []
+        elif not nexts:
+            nexts = sorted(unvisited, key=degree.__getitem__)
+        stack.append((w, unvisited, iter(nexts)))
     return None
 
 

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from posetsi import acceptance, domino, h2, linext
+from posetsi import acceptance, domino, h2, linext, ruskey
 from posetsi.errors import ResourceLimit
 from posetsi.euler import check_congruence
 from posetsi.generate import enumerate_posets
@@ -79,6 +79,107 @@ def test_census_criteria_fail_with_the_error_text(monkeypatch, number, census, f
     result = NUMBERED[number]()
     assert not result.ok
     assert result.details == [f"census of {first} over its cap"]
+
+
+C11_GRAPHS = "406 graphs built; disconnected: 0, bipartition mismatches: 0"
+
+# case -> (criterion, module, route, the route made wrong from the real
+# one, the details the criterion then reports)
+WRONG_ROUTES = {
+    # phi sends both 2-element label arrays to (2, 1): no involution
+    "4-order-two": (
+        4, acceptance, "phi",
+        lambda real: lambda p, lab: (2, 1) if p.n == 2 else real(p, lab),
+        ["406 classes checked, 2 violations"],
+    ),
+    # phi fixes the 2-element antichain's extensions, adapted to no tableau
+    "4-fixed-points": (
+        4, acceptance, "phi",
+        lambda real: lambda p, lab: lab if p.n == 2 else real(p, lab),
+        ["406 classes checked, 1 violations"],
+    ),
+    # the 2-element antichain's swap keeps its sign
+    "4-sign-reversing": (
+        4, acceptance, "sign",
+        lambda real: lambda p, lab: 1 if p.n == 2 else real(p, lab),
+        ["406 classes checked, 1 violations"],
+    ),
+    # on n = 3 the singleton sits on a pair's bottom, so no extension is
+    # adapted; the chain, the V and the 2+1 each have a fixed point
+    "4-singleton-label": (
+        4, domino, "enumerate_tableaux",
+        lambda real: lambda p: [
+            t._replace(singleton=t.pairs[0][0]) if p.n == 3 else t for t in real(p)
+        ],
+        ["406 classes checked, 3 violations"],
+    ),
+    "5-lift-si": (
+        5, acceptance, "count_extensions",
+        lambda real: lambda p: real(p) + 1,
+        ["43 (P, R) pairs checked, 43 mismatches"],
+    ),
+    "5-decompose-kind": (
+        5, h2, "decompose",
+        lambda real: lambda q: real(q)._replace(kind="sign_balanced"),
+        ["43 (P, R) pairs checked, 43 mismatches"],
+    ),
+    # the base relation set loses the non-cover relations of 18 of the
+    # 43 good sets, and with them the round trip
+    "5-round-trip": (
+        5, h2, "decompose",
+        lambda real: lambda q: real(q)._replace(rel=h2.good_base(real(q).base)),
+        ["43 (P, R) pairs checked, 18 mismatches"],
+    ),
+    # the one odd-e class has e = 25
+    "8": (
+        8, acceptance, "count_extensions",
+        lambda real: lambda p: real(p) + 2,
+        ["odd-e classes: 1, violations: [27]"],
+    ),
+    # the two-below criterion claims the one-element chain (si = 1)
+    "10-criteria": (
+        10, linext, "ruskey_criterion",
+        lambda real: lambda p: real(p) or p.n == 1,
+        [
+            "two-below criterion hits: 427, chain-parity hits: 383, violations: 1",
+            "grid parity violations: []",
+        ],
+    ),
+    "10-grids": (
+        10, acceptance, "grid",
+        lambda real: lambda m, n: real(m, n + ((m, n) == (2, 2))),
+        [
+            "two-below criterion hits: 426, chain-parity hits: 383, violations: 0",
+            "grid parity violations: [(2, 2)]",
+        ],
+    ),
+    # a path claimed on every graph: the 5 classes with si > 1
+    "11-path-past-the-gap": (
+        11, ruskey, "hamiltonian_path",
+        lambda real: lambda g, cap: list(range(len(g.vertices))),
+        [C11_GRAPHS, "path sweep: 0 conjecture inconsistencies, 5 paths with si > 1"],
+    ),
+    # no path on any graph: the other 83 of the 88 classes with n <= 5
+    "11-no-path": (
+        11, ruskey, "hamiltonian_path",
+        lambda real: lambda g, cap: None,
+        [C11_GRAPHS, "path sweep: 83 conjecture inconsistencies, 0 paths with si > 1"],
+    ),
+    "12": (
+        12, domino, "exists_q_adapted",
+        lambda real: lambda p, q: real(p, q) and p.n != 1,
+        ["2451 classes checked, 1 violations"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_ROUTES))
+def test_criteria_fail_on_a_wrong_route(monkeypatch, case):
+    number, module, route, wrong, details = WRONG_ROUTES[case]
+    monkeypatch.setattr(module, route, wrong(getattr(module, route)))
+    result = NUMBERED[number]()
+    assert result.ok is False
+    assert result.details == details
 
 
 @pytest.mark.xfail(

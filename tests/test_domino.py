@@ -271,6 +271,14 @@ def test_cover_matchings_keep_the_recursive_order():
             )
 
 
+def test_tableaux_are_sorted_where_the_walk_is_not():
+    # a diamond with bottom 1 and top 0: the walk covers 0 first, as a top
+    p = from_covers(4, [(1, 2), (1, 3), (2, 0), (3, 0)])
+    walked = [t.pairs for t in domino._cover_matchings(p)]
+    assert walked == [((1, 3), (2, 0)), ((1, 2), (3, 0))]
+    assert [t.pairs for t in enumerate_tableaux(p)] == sorted(walked)
+
+
 def test_cover_matchings_of_a_long_chain():
     # 1,050 parts deep, past the default recursion limit
     [t] = domino._cover_matchings(chain(2100))

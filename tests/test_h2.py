@@ -377,6 +377,24 @@ def test_odd_e_bounds_checks_the_returned_lift(monkeypatch):
         odd_e_bounds(3)
 
 
+def test_count_f_raises_when_its_routes_disagree(monkeypatch):
+    from posetsi import h2
+
+    real = h2.stats
+    monkeypatch.setattr(h2, "stats", lambda p: real(p)._replace(re=real(p).re + 1))
+    with pytest.raises(VerificationError, match="formula 6 != direct 3"):
+        count_f(6)
+
+
+def test_odd_e_bounds_raises_on_a_count_out_of_bounds(monkeypatch):
+    from posetsi import h2
+
+    real = h2.count_extensions
+    monkeypatch.setattr(h2, "count_extensions", lambda p: real(p) + 1000)
+    with pytest.raises(VerificationError, match=r"odd e=1005 outside \[4, 6\] on 4"):
+        odd_e_bounds(2)
+
+
 @pytest.mark.parametrize(
     "call",
     [

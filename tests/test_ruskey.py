@@ -142,6 +142,87 @@ def test_hamiltonian_path_none_after_exhausted_search():
         hamiltonian_path(g, cap=1)
 
 
+def test_empty_hand_built_graph():
+    g = TranspositionGraph((), (), (), False, ())
+    assert is_connected(g)
+    assert hamiltonian_path(g) == []
+
+
+def _reference_hamiltonian_path(g, cap):
+    """The search that entered vertices through a nested function, with
+    an outer loop over start vertices and a path list beside its stack."""
+    nv = len(g.vertices)
+    if nv == 0:
+        return []
+    plus, minus = part_sizes(g)
+    if abs(plus - minus) > 1:
+        return None
+    if not is_connected(g):
+        return None
+    adjacency = g.adjacency
+    degree = [len(a) for a in adjacency]
+    visited = [False] * nv
+    path = []
+    stack = []
+    nodes = 0
+
+    def enter(v):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise ResourceLimit(
+                f"Hamiltonian path search visited {nodes} nodes, over its "
+                f"budget of {cap}; raise it with --path-cap"
+            )
+        path.append(v)
+        visited[v] = True
+        unvisited = [w for w in adjacency[v] if not visited[w]]
+        for w in unvisited:
+            degree[w] -= 1
+        forced = [w for w in unvisited if degree[w] == 0]
+        if len(forced) > 1:
+            choices = []
+        elif forced:
+            choices = forced
+        else:
+            choices = sorted(unvisited, key=degree.__getitem__)
+        stack.append((unvisited, iter(choices)))
+
+    for s in sorted(range(nv), key=degree.__getitem__):
+        enter(s)
+        while stack:
+            if len(path) == nv:
+                return path
+            unvisited, choices = stack[-1]
+            w = next(choices, None)
+            if w is None:
+                stack.pop()
+                for u in unvisited:
+                    degree[u] += 1
+                visited[path.pop()] = False
+            else:
+                enter(w)
+    return None
+
+
+def _path_or_limit(search, g, cap):
+    try:
+        return search(g, cap)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+def test_hamiltonian_path_matches_the_reference_search():
+    cases = [(n, cap) for n in range(6) for cap in (1, 7, 50, 510, 10**4)]
+    cases.append((6, 3000))
+    for n, cap in cases:
+        for p in enumerate_posets(n):
+            for adjacent in (False, True):
+                g = build_graph(p, adjacent_only=adjacent)
+                want = _path_or_limit(_reference_hamiltonian_path, g, cap)
+                assert _path_or_limit(hamiltonian_path, g, cap) == want
+
+
 def test_found_paths_are_valid():
     for p in (antichain(3), zigzag(4), zigzag(5)):
         g = build_graph(p)
