@@ -8,7 +8,9 @@ recursion depth, or a size past what Python can index (``OverflowError``).
 
 ``count`` and ``si`` take the cheapest sound route, by ``plan``. ``si``
 names it and checks it against the quotient route, run part by part on
-the planner's split, and, under the enumeration cap, brute force.
+the planner's split, and brute force. Both checks stop at the
+enumeration cap ``ENUM_CAP`` and report "skipped" past it; a cap hit by
+the planner's own walks exits 3.
 
 A query imports only the modules its subcommand runs: this module loads
 ``errors``, ``linext``, ``poset`` and ``textio``, and each handler
@@ -76,30 +78,36 @@ def _cmd_si(args) -> int:
         e = count if e is None else e
     # the quotient route part by part, since a split's signed factors
     # need only part sizes and labels; the planner's answer already is it
-    # when every part that did not split took the quotient walk
+    # when every part that did not split took the quotient walk. Like the
+    # brute check, it stops at ENUM_CAP, and past it is skipped
     if set(route.split(" + ")) <= {"split", "quotient"}:
         quot = signed
     else:
-        _, quot, _ = plan._plan(
-            p, lambda q: (None, domino.si_via_quotients(q, cap), "quotient")
-        )
+        quot_cap = min(cap, ENUM_CAP)
+        try:
+            _, quot, _ = plan._plan(
+                p, lambda q: (None, domino.si_via_quotients(q, quot_cap), "quotient")
+            )
+        except ResourceLimit:
+            quot = None
     payload = {
         "e": None if e is None else str(e),
         "signed": str(signed),
         "si": str(abs(signed)),
         "si_brute": None if brute is None else str(abs(brute)),
-        "si_quotient": str(abs(quot)),
+        "si_quotient": None if quot is None else str(abs(quot)),
         "route": route,
     }
-    skipped = "skipped: " + ("e not counted" if e is None else "over enumeration cap")
+    over = "skipped: over enumeration cap"
+    skipped = "skipped: e not counted" if e is None else over
     lines = [
         f"e = {'not counted' if e is None else e}",
         f"signed sum = {signed}",
         f"si ({route}) = {abs(signed)}",
         f"si (brute force) = {skipped if brute is None else abs(brute)}",
-        f"si (quotient route) = {abs(quot)}",
+        f"si (quotient route) = {over if quot is None else abs(quot)}",
     ]
-    if quot != signed or (brute is not None and (count, brute) != (e, signed)):
+    if quot not in (None, signed) or (brute is not None and (count, brute) != (e, signed)):
         _emit(args, payload, lines + ["MISMATCH between routes"])
         return 1
     _emit(args, payload, lines)

@@ -24,13 +24,15 @@
 4. For the signed sum, the quotient walk ``domino.si_via_quotients``.
    It stores a subset of the down-sets that the signed walk would
    store, so it answers whenever that walk would, and the signed sum
-   needs no walk of its own. For e, here and in ``e``, the peel
-   (``_peel``) on a part of at most ``PEEL_N`` elements, else, or once
-   the peel would keep more than ``PEEL_STATES`` states, the down-set
-   walk ``count_extensions``. The peel gains where the walk must store
-   every down-set of a part that falls apart as it is built: on the
-   random 30-element orders of the benchmark (seeds 1-40) it keeps
-   0.6k-11k states where the walk stores 45k-50k down-sets.
+   needs no walk of its own. CLI ``si`` checks every route by brute
+   force, and every other route by the quotient walk, under ``ENUM_CAP``.
+   For e, here and in ``e``, ``_e_part``: step 2, else the peel
+   (``_peel``) on at most ``PEEL_N`` elements, else, or past
+   ``PEEL_STATES`` states, the walk ``count_extensions``. The peel gains
+   where the walk must store every down-set of a part that falls apart
+   as it is built: on the random 30-element orders of the benchmark
+   (seeds 1-40) it keeps 0.6k-11k states where the walk stores 45k-50k
+   down-sets.
 
 ``count_extensions``, ``signed_count`` and ``count_mod`` stay the walk,
 so every criterion and test keeps the route it names; CLI ``count`` and
@@ -225,39 +227,34 @@ def _peel(q: Poset, budget: int) -> int:
     return count(full, full) if full & (full - 1) else 1
 
 
-def _count(q: Poset, downset_cap: int) -> tuple[int, str]:
-    """(e(Q), route) for a part that does not split and is no forest:
-    the peel when Q is small enough and it keeps few enough states, else
-    the walk. The peel keeps fewer states than the walk stores, so where
-    it overflows ``downset_cap`` the walk raises the cap's error."""
+def _e_part(q: Poset, downset_cap: int) -> Answer:
+    """e of a part that does not split, and no signed sum:
+    ``forest_count``, else the peel when Q is small enough and it keeps
+    few enough states, else the walk. The peel keeps fewer states than
+    the walk stores, so where it overflows ``downset_cap`` the walk
+    raises the cap's error."""
+    fc = forest_count(q)
+    if fc is not None:
+        return fc.total, None, "forest"
     if q.n <= PEEL_N:
         try:
-            return _peel(q, min(downset_cap, PEEL_STATES)), "peel"
+            return _peel(q, min(downset_cap, PEEL_STATES)), None, "peel"
         except _Overflow:
             pass
-    return count_extensions(q, downset_cap), "walk"
+    return count_extensions(q, downset_cap), None, "walk"
 
 
 def e(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, str]:
-    """(e(P), route): split, then ``forest_count``, else the peel or
-    the walk."""
-
-    def leaf(q: Poset) -> Answer:
-        fc = forest_count(q)
-        if fc is not None:
-            return fc.total, None, "forest"
-        total, route = _count(q, downset_cap)
-        return total, None, route
-
-    total, _, route = _plan(p, leaf)
+    """(e(P), route): split, then ``_e_part`` on each part."""
+    total, _, route = _plan(p, lambda q: _e_part(q, downset_cap))
     return total, route
 
 
 def signed(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, int | None, str]:
     """(signed sum, e(P) or None, route): split, then ``forest_count``,
-    the height-2 inverse or the quotient walk (with the peel or the walk
-    for e). e is None when a part took the height-2 inverse: e of a lift
-    is left to ``e``, whose walk is what runs out of memory on lifts."""
+    the height-2 inverse or the quotient walk (with ``_e_part`` for e).
+    e is None when a part took the height-2 inverse: e of a lift is left
+    to ``e``, whose walk is what runs out of memory on lifts."""
     from . import domino
 
     def leaf(q: Poset) -> Answer:
@@ -272,7 +269,7 @@ def signed(p: Poset, downset_cap: int = DOWNSET_CAP) -> tuple[int, int | None, s
                 return None, 0, "height-2"
             t = domino.DominoTableau(dec.pairs, dec.isolated)
             return None, domino._sign(t) * e(dec.base, downset_cap)[0], "height-2"
-        total, _ = _count(q, downset_cap)
+        total = _e_part(q, downset_cap)[0]
         return total, domino.si_via_quotients(q, downset_cap), "quotient"
 
     total, sgn, route = _plan(p, leaf)

@@ -171,16 +171,17 @@ def _graph_report(p: Poset, g: TranspositionGraph, path_cap: int | None) -> dict
     path."""
     plus, minus = part_sizes(g)
     si = abs(plus - minus)
+    path = None if path_cap is None else hamiltonian_path(g, path_cap)
     report = {
         "n": p.n,
         "extensions": len(g.vertices),
         "si": si,
         "mode": "adjacent" if g.adjacent_only else "any-transposition",
-        "connected": is_connected(g),
+        # a Hamiltonian path visits every vertex
+        "connected": path is not None or is_connected(g),
         "bipartite_by_sign": all(g.signs[a] != g.signs[b] for a, b in g.edges),
     }
     if path_cap is not None:
-        path = hamiltonian_path(g, path_cap)
         report["path_found"] = path is not None
         report["consistent_with_conjecture"] = not (si <= 1 and path is None)
         if path is not None:

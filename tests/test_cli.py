@@ -631,6 +631,28 @@ def test_si_on_lifts_in_bounded_memory(capsys, tmp_path):
         assert rep["e"] is None and "height-2" in rep["route"]
 
 
+def test_si_skips_the_quotient_check_past_enum_cap(capsys, monkeypatch, tmp_path):
+    # the lift of a 40-element fence has a Hasse tree, so the planner
+    # answers by forest_count; the quotient walk that checks it would grow
+    # with the fence's F_42 down-sets, and stops at the lower of the caps
+    from posetsi import cli
+    from posetsi.euler import euler_numbers
+
+    code, out, _ = run(capsys, "lift", "zigzag:40")
+    assert code == 0
+    path = tmp_path / "lift.poset"
+    path.write_text(out)
+    code, out, _ = run(capsys, "si", str(path), "--downset-cap", "100000", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["si"], rep["route"]) == (str(euler_numbers(40)[-1]), "forest")
+    assert rep["si_quotient"] is None
+    monkeypatch.setattr(cli, "ENUM_CAP", 100000)
+    code, out, _ = run(capsys, "si", str(path))
+    assert code == 0
+    assert "si (quotient route) = skipped: over enumeration cap\n" in out
+
+
 def test_si_enumerates_small_lifts(capsys, tmp_path):
     code, out, _ = run(capsys, "si", "grid:3:4", "--json")
     assert code == 0

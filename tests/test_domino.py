@@ -436,6 +436,17 @@ def test_quotient_route_matches_signed_dp():
             assert si_via_quotients(p) == signed_count(p).signed
 
 
+def test_quotient_route_counts_e_by_the_walk_past_peel_n():
+    # grid:3:30 less its two corners has 88 elements, over PEEL_N, so the
+    # planner's e of that part takes the walk
+    from posetsi import plan
+
+    p = grid(3, 30)
+    assert plan.PEEL_N < p.n - 2
+    want = (signed_count(p).signed, count_extensions(p), "split + quotient")
+    assert plan.signed(p) == want
+
+
 def test_quotient_walk_matches_the_tableau_sum():
     rng = random.Random(17)
     checked = 0

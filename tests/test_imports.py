@@ -138,6 +138,8 @@ def test_cli_query_loads_only_the_modules_it_runs():
     others = {"posetsi.euler", "posetsi.ruskey", "posetsi.acceptance"}
     walks = {"posetsi.domino", "posetsi.h2"}
     assert _loaded(_query("count", "chain:1"), census | others | walks) == []
+    # the peel route
+    assert _loaded(_query("count", "grid:3:4"), census | others | walks) == []
     assert _loaded(_query("si", "zigzag:4"), census | others) == []
 
 

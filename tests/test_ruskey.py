@@ -310,6 +310,20 @@ def test_report_examples(eight_cycle):
     assert rep["bipartite_by_sign"]
 
 
+def test_report_tests_connectivity_once(monkeypatch):
+    # the path search tests it, and a path found shows it
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(ruskey, "is_connected", counted)
+    rep = ruskey_report(zigzag(6))
+    assert rep["connected"] and rep["path_found"]
+    assert len(calls) == 1
+
+
 def test_report_modes_stated():
     assert ruskey_report(chain(2))["mode"] == "any-transposition"
     g = build_graph(chain(2), adjacent_only=True)
