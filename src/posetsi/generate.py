@@ -15,7 +15,9 @@ computed (McKay, "Isomorph-free exhaustive generation", 1998):
   down-rows only and is invariant under isomorphism. D is kept only if no
   maximal element of the parent outside D has a larger key than the new
   element. Adding a maximal element changes no old down-row, so the
-  parent's keys are computed once per parent.
+  parent's keys are computed once per parent, and keys compare |D|
+  first, so D is dropped before its key is computed when a rival's
+  down-set is larger.
 
 Why no class is lost: take any class, delete a maximal element x with the
 largest key, and map the rest onto its listed representative; the image
@@ -24,20 +26,24 @@ permutation that moves it to prefixes is an automorphism of the parent,
 so it keeps every key and passes both rules. A height-2 class loses only
 height by the deletion, so the same holds for the height-2 lists.
 
-A third rule decides which children need a canonical form. Call a child
-alone when its new element x is the only maximal element with the
-largest key, and tied otherwise. An alone child can repeat only an
-alone sibling from the same parent P whose down-set D' lies in the
-Aut(P)-orbit of its own down-set D:
+A third rule decides which children need a canonical form. Let S(C) be
+the maximal elements of a child C with the largest key. Call C alone
+when S(C) is its new element x and the twins of x, the old maximal
+elements whose down-set is D, and tied otherwise. An alone child can
+repeat only an alone sibling from the same parent P whose down-set D'
+lies in the Aut(P)-orbit of its own down-set D:
 
-1. Keys are invariant, so being alone is an isomorphism invariant, and
-   an isomorphism between two alone children sends x to x'.
+1. Keys are invariant, so S(C) is, and being alone, that S(C) is one
+   twin class, is an isomorphism invariant. An isomorphism from C to
+   an alone child C' sends x into S(C'), the twin class of x', and
+   following it by the transposition of that image with x', an
+   automorphism of C', gives an isomorphism that sends x to x'.
 2. Deleting x and x' gives isomorphic parents. The listed parents are
    pairwise non-isomorphic, so both children have the same parent P,
    and the isomorphism restricts to an automorphism of P that maps D
    onto D'.
-3. An alone child and a tied child are never isomorphic, since the
-   number of maximal elements with the largest key differs.
+3. An alone child and a tied child are never isomorphic, since S is
+   one twin class in the one and not in the other.
 
 Refined colours are invariant under automorphisms, so the alone
 siblings are put into buckets keyed by the sorted colours of P over D,
@@ -60,8 +66,8 @@ from .poset import Poset, _twins, iter_bits, stats
 
 __all__ = ["enumerate_posets", "poset_class_count"]
 
-# unlabeled posets on 0..8 elements (OEIS A000112), a generation self-check
-CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
+# unlabeled posets on 0..9 elements (OEIS A000112), a generation self-check
+CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)
 # unlabeled posets of height at most 2 on 0..10 elements, likewise
 H2_CLASS_COUNTS = (1, 1, 2, 4, 9, 21, 56, 164, 557, 2223, 10766)
 
@@ -98,19 +104,25 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]
     # (v, v and its lower twins) for each v with a lower twin
     twinned = [(1 << v, m) for v, m in enumerate(_twins(rep)) if m != 1 << v]
     maxima = sorted(
-        ((_key(rep, rep.down[x]), 1 << x) for x in range(rep.n) if not rep.up[x]),
+        ((_key(rep, rep.down[x]), x) for x in range(rep.n) if not rep.up[x]),
         reverse=True,
     )
     colors = _refined_colors(rep)
     for down_mask in choices:
         if any(down_mask & bit and m & ~down_mask for bit, m in twinned):
             continue
-        rival = next((k for k, bit in maxima if not down_mask & bit), None)
+        # the maximal elements that stay maximal, largest key first
+        rivals = [(k, x) for k, x in maxima if not down_mask >> x & 1]
+        if rivals and rivals[0][0][0] > down_mask.bit_count():
+            continue  # a larger down-set is a larger key
         key = _key(rep, down_mask)
-        if rival is None or rival < key:
+        if rivals and rivals[0][0] > key:
+            continue
+        # alone when every rival with the key is a twin of the new element
+        if all(k < key or rep.down[x] == down_mask for k, x in rivals):
             bucket = tuple(sorted(colors[i] for i in iter_bits(down_mask)))
             yield rep.add_maximal(down_mask), bucket
-        elif rival == key:
+        else:
             yield rep.add_maximal(down_mask), None
 
 

@@ -47,14 +47,14 @@ class Poset:
     transitively closed; use :func:`from_covers` to build from arbitrary
     acyclic pairs. It derives covers and down-sets from each row's
     minimal elements and covers alone, so a chain costs n steps, not
-    n^2 / 2.
+    n^2 / 2. The census builds its children with :meth:`add_maximal`,
+    which extends the parent's rows and does not call the constructor.
     """
 
     __slots__ = ("n", "up", "down", "cover_up", "_canon")
 
     def __init__(self, n: int, up: tuple[int, ...]):
-        if n < 0:  # inline: the census builds posets by the hundred thousand
-            raise ValueError("n must be nonnegative")
+        _check_size(n)
         self.n = n
         self.up = up
         down = [0] * n
@@ -155,12 +155,25 @@ class Poset:
         return Poset(self.n, tuple(up))
 
     def add_maximal(self, down_mask: int) -> "Poset":
-        """Extend by one new maximal element whose strict lower set is
-        ``down_mask`` (must be a lower order ideal)."""
+        """Extend by one new maximal element v whose strict lower set is
+        ``down_mask`` (must be a lower order ideal). The rows come from
+        this poset's, not from ``__init__``: no down-row changes, each
+        element of the ideal gains v above it, and each maximal element
+        of the ideal gains v as an upper cover."""
         v = self.n
-        up = [self.up[i] | (1 << v if down_mask >> i & 1 else 0) for i in range(v)]
-        up.append(0)
-        return Poset(v + 1, tuple(up))
+        bit = 1 << v
+        up, cover = list(self.up), list(self.cover_up)
+        for i in iter_bits(down_mask):
+            if not up[i] & down_mask:
+                cover[i] |= bit
+            up[i] |= bit
+        child = Poset.__new__(Poset)
+        child.n = v + 1
+        child.up = (*up, 0)
+        child.down = (*self.down, down_mask)
+        child.cover_up = (*cover, 0)
+        child._canon = None
+        return child
 
 
 def _check_size(n: int) -> None:

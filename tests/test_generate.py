@@ -224,22 +224,80 @@ def test_buckets_keep_what_a_seen_set_keeps(height2, nmax):
 
 CROWN3 = from_covers(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
 TWO_FENCES = disjoint_union(zigzag(4), zigzag(4))
+# the fence 2 > 0 < 4 > 1 < 3: over {0, 1} the new element is a twin of 4
+TOP_FENCE5 = from_covers(5, [(0, 2), (0, 4), (1, 3), (1, 4)])
+
+
+def tied(child):
+    """Whether some maximal element of ``child`` with the largest deletion
+    key has a down-set other than that of the new element, the last."""
+    keys = {x: deletion_key(child, x) for x in range(child.n) if not child.up[x]}
+    top = max(keys.values())
+    return any(child.down[x] != child.down[-1] for x, k in keys.items() if k == top)
 
 
 @pytest.mark.parametrize(
     "parent, height2",
-    [(zigzag(5), False), (CROWN3, False), (TWO_FENCES, False), (TWO_FENCES, True)],
-    ids=["zigzag5", "crown3", "two-fences", "two-fences-h2"],
+    [
+        (zigzag(5), False),
+        (CROWN3, False),
+        (TWO_FENCES, False),
+        (TWO_FENCES, True),
+        (TOP_FENCE5, False),
+    ],
+    ids=["zigzag5", "crown3", "two-fences", "two-fences-h2", "top-fence5"],
 )
 def test_bucket_collisions_keep_one_child_per_class(parent, height2):
     # a reflection, a rotation or a swap of components is an automorphism
     # that permutes no twins, so isomorphic alone children share a bucket
     buckets = {}
     for child, bucket in generate._children(parent, height2):
-        keys = sorted(deletion_key(child, x) for x in range(child.n) if not child.up[x])
-        assert (bucket is None) == (keys.count(keys[-1]) > 1)
+        assert (bucket is None) == tied(child)
         buckets.setdefault(bucket, []).append(canonical_form(child))
     assert any(len(set(f)) < len(f) for b, f in buckets.items() if b is not None)
     kept = [canonical_form(c) for c in generate._kept(parent, height2, set())]
     assert len(kept) == len(set(kept))
     assert set(kept) == {f for forms in buckets.values() for f in forms}
+
+
+@pytest.mark.parametrize("parent", [antichain(2), TOP_FENCE5], ids=["antichain2", "top-fence5"])
+@pytest.mark.parametrize("height2", [False, True])
+def test_a_child_tied_only_with_twins_is_alone(parent, height2):
+    # over D = {} in antichain(2), or {0, 1} in TOP_FENCE5, every maximal
+    # element with the new element's key is a twin of it
+    twinned = [
+        bucket
+        for child, bucket in generate._children(parent, height2)
+        if any(not child.up[x] and child.down[x] == child.down[-1] for x in range(parent.n))
+    ]
+    assert twinned and None not in twinned
+
+
+def test_add_maximal_rows_match_the_constructor():
+    parents = [(p, False) for n in range(7) for p in enumerate_posets(n)]
+    parents += [(p, True) for n in range(9) for p in enumerate_posets(n, max_height=2)]
+    for p, height2 in parents:
+        for child in all_children(p, height2):
+            built = Poset(child.n, child.up)
+            assert (child.up, child.down, child.cover_up) == (
+                built.up, built.down, built.cover_up
+            )
+
+
+def test_census_computes_few_canonical_forms(monkeypatch, own_class_cache):
+    # counts the forms computed, not those read back from ``_canon``; while
+    # a child tied with its twins was tied, the census computed 668 and 800
+    fresh = []
+    form = generate.canonical_form
+
+    def counting(p):
+        fresh.append(p._canon is None)
+        return form(p)
+
+    monkeypatch.setattr(generate, "canonical_form", counting)
+    counts = []
+    for n, height2 in ((8, True), (7, False)):
+        fresh.clear()
+        own_class_cache(n, height2)
+        counts.append(sum(fresh))
+    assert counts == [467, 422]
