@@ -17,10 +17,9 @@ from . import domino, h2, linext, ruskey
 from .canon import is_isomorphic
 from .errors import PosetsiError
 from .euler import congruence_failures, euler_numbers, primes_never_dividing
-from .generate import enumerate_posets
+from .generate import _counted, enumerate_posets
 from .linext import (
     count_extensions,
-    count_mod,
     enumerate_extensions,
     forest_count,
     phi,
@@ -145,8 +144,7 @@ def criterion_5() -> CriterionResult:
     checked = 0
     bad = 0
     for n in range(5):
-        for p in enumerate_posets(n):
-            e = count_extensions(p)
+        for p, e in _counted(n, False):
             for rel in h2.enumerate_good_sets(p):
                 lifted = h2.build_lift(p, rel)
                 checked += 1
@@ -222,8 +220,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     bad = []
     total = 0
-    for p in enumerate_posets(5, max_height=2):
-        e = count_extensions(p)
+    for _, e in _counted(5, True):
         if e % 2 == 1:
             total += 1
             if e % 5 != 0:
@@ -333,16 +330,13 @@ def criterion_11() -> CriterionResult:
     )
 
 
-def _c12_worker(p: Poset) -> bool:
-    for q in (2, 3, 5):
-        if count_mod(p, q) != 0 and not domino.exists_q_adapted(p, q):
-            return False
-    return True
+def _c12_worker(p: Poset, e: int) -> bool:
+    return all(e % q == 0 or domino.exists_q_adapted(p, q) for q in (2, 3, 5))
 
 
 def criterion_12() -> CriterionResult:
-    classes = [p for n in range(8) for p in enumerate_posets(n)]
-    bad = sum(not _c12_worker(p) for p in classes)
+    classes = [c for n in range(8) for c in _counted(n, False)]
+    bad = sum(not _c12_worker(p, e) for p, e in classes)
     return CriterionResult(
         12,
         "block-adapted extensions exist whenever q does not divide e "

@@ -54,6 +54,14 @@ level. The kept representatives and their order are those a seen-set
 over every child would keep, and the class counts are checked against
 known tables. Results are cached per size, for all classes and for those
 of height at most 2, for reuse across sweeps.
+
+The census also carries e (``_counted``), each class's from its parent
+P's tables rather than from a walk of its own (De Loof, De Meyer and De
+Baets, Fundamenta Informaticae 2006). In every extension of a child,
+the new element x follows the set I of elements placed before it, a
+down-set of P with I ⊇ D. So e(child) = Σ_{I ⊇ D} f(I)·g(I), where f(I)
+counts the ways to build I and g(I) the ways to finish P from I, both
+from ``linext._through``: the walk's layers and one backward pass.
 """
 
 from functools import lru_cache
@@ -61,7 +69,7 @@ from typing import Iterable, Iterator
 
 from .canon import _refined_colors, canonical_form
 from .errors import VerificationError
-from .linext import _layers
+from .linext import _layers, _through
 from .poset import Poset, _twins, iter_bits, stats
 
 __all__ = ["enumerate_posets", "poset_class_count"]
@@ -160,6 +168,27 @@ def _classes(n: int, height2: bool) -> tuple[Poset, ...]:
             f"got {len(out)} {kind} on {n} elements, expected {table[n]}"
         )
     return tuple(out)
+
+
+def _counted(n: int, height2: bool) -> Iterator[tuple[Poset, int]]:
+    """The classes of ``_classes(n, height2)``, in order, each with e.
+
+    A class is its parent's rows plus a maximal element x over D =
+    ``down[x]``, so e is summed over ``_through(parent)``. A parent's
+    kept children are consecutive and start with its down-rows, so each
+    child finds its parent by them, and only the table of the current
+    parent is held."""
+    if n == 0:
+        yield _classes(0, height2)[0], 1
+        return
+    parents = iter(_classes(n - 1, height2))
+    parent = None
+    for child in _classes(n, height2):
+        rows, d = child.down[:-1], child.down[-1]
+        if parent is None or parent.down != rows:
+            parent = next(p for p in parents if p.down == rows)
+            through = _through(parent).items()
+        yield child, sum(w for i, w in through if i & d == d)
 
 
 def enumerate_posets(n: int, max_height: int | None = None) -> Iterator[Poset]:

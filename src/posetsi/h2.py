@@ -8,7 +8,9 @@ iff (x, y) is in R. Its sign imbalance equals e(P). The inverse peels
 the lift's forced (bottom, top) pairs in one pass over its Hasse diagram.
 Only the census functions (``count_f``, ``count_f_q``, ``odd_e_bounds``
 and ``spectrum``) import ``generate`` and ``canon``, when they run, so
-the lift, its inverse and the decider load neither.
+the lift, its inverse and the decider load neither. They read e from
+the census values of ``generate._counted``, each class's from its
+parent's tables, so none walks a class on its own.
 """
 
 import math
@@ -16,7 +18,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import BadGoodSet, HeightExceeded, VerificationError
-from .linext import _at_least_k, count_extensions, count_mod
+from .linext import _at_least_k
 from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
@@ -163,21 +165,19 @@ def count_f(n_total: int) -> dict:
     independent routes that must agree.
 
     Formula route: sum 2**(re-cr) over odd-e classes on half the elements.
-    Direct route: enumerate height-<=2 classes and count odd e.
+    Direct route: count the height-<=2 classes with odd e. Both read e
+    from the census values of ``generate._counted``.
     """
-    from .generate import enumerate_posets
+    from .generate import _counted
 
     if n_total < 0 or n_total > 11:
         raise ValueError("supported range is 0..11")
-    half = n_total // 2
     formula = 0
-    for p in enumerate_posets(half):
-        if count_mod(p, 2) == 1:
+    for p, e in _counted(n_total // 2, False):
+        if e % 2:
             s = stats(p)
             formula += 1 << (s.re - s.cr)
-    direct = sum(
-        1 for q in enumerate_posets(n_total, max_height=2) if count_mod(q, 2) == 1
-    )
+    direct = sum(e % 2 for _, e in _counted(n_total, True))
     if formula != direct:
         raise VerificationError(
             f"odd-count mismatch on {n_total} elements: "
@@ -187,32 +187,31 @@ def count_f(n_total: int) -> dict:
 
 
 def count_f_q(m: int, q: int) -> int:
-    """Height-<=2 classes on m elements whose e is not divisible by q."""
-    from .generate import enumerate_posets
+    """Height-<=2 classes on m elements whose e is not divisible by q,
+    with e from the census values."""
+    from .generate import _counted
 
     if m < 0 or m > 8:
         raise ValueError("supported range is 0..8")
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    return sum(
-        1 for p in enumerate_posets(m, max_height=2) if count_mod(p, q) != 0
-    )
+    return sum(1 for _, e in _counted(m, True) if e % q)
 
 
 def odd_e_bounds(n: int) -> dict:
     """Check every odd-e height-<=2 class on 2n vertices against
     (n!)^2 <= e <= n!(2n-1)!! and check that the class is the lift of the
-    base and relation set that ``decompose`` returns."""
+    base and relation set that ``decompose`` returns. e is the census
+    value."""
     from .canon import is_isomorphic
-    from .generate import enumerate_posets
+    from .generate import _counted
 
     if n < 0 or 2 * n > 8:
         raise ValueError("supported range is 2n <= 8")
     lower = math.factorial(n) ** 2
     upper = math.factorial(n) * math.prod(range(1, 2 * n, 2))
     values = []
-    for p in enumerate_posets(2 * n, max_height=2):
-        e = count_extensions(p)
+    for p, e in _counted(2 * n, True):
         if e % 2 == 0:
             continue
         values.append(e)
@@ -235,15 +234,15 @@ def odd_e_bounds(n: int) -> dict:
 
 def spectrum(max_vertices: int) -> dict:
     """Achievable e values over height-<=2 classes with at most
-    max_vertices elements, with one witness poset per value."""
-    from .generate import enumerate_posets
+    max_vertices elements, with one witness poset per value, e read from
+    the census values."""
+    from .generate import _counted
 
     if max_vertices < 0 or max_vertices > 8:
         raise ValueError("supported range is 0..8")
     witnesses: dict[int, Poset] = {}
     for size in range(max_vertices + 1):
-        for p in enumerate_posets(size, max_height=2):
-            e = count_extensions(p)
+        for p, e in _counted(size, True):
             if e not in witnesses:
                 witnesses[e] = p
     values = sorted(witnesses)

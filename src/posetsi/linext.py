@@ -12,7 +12,10 @@ against the others:
 - The down-set walk, ``_layers``, serves every poset and every public
   count: e(P), or e(P) and the signed sum together in a single pass,
   e(P) mod q and the list of down-sets that poset generation attaches
-  new elements over. ``domino.exists_q_adapted`` reads its layers too.
+  new elements over. ``domino.exists_q_adapted`` reads its layers too,
+  and ``_through`` adds one backward pass over them, giving the
+  extensions that pass through each down-set, from which the census
+  sums e of every child of a parent (``generate._counted``).
 - The forest route, ``forest_count``, takes O(n^2) big-integer steps
   when the Hasse diagram is a forest (fences, chains, antichains, trees)
   and declines every other poset. The public counts and every
@@ -213,6 +216,29 @@ def _full_count(p: Poset, downset_cap: int, signed: bool = False) -> tuple[int, 
     w = _width(p.n)
     even, odd = ways >> w, ways & ((1 << w) - 1)
     return even + odd, even - odd
+
+
+def _through(p: Poset) -> dict[int, int]:
+    """Each down-set I of P with the number of extensions whose first |I|
+    elements are I: f(I), the count of the walk's layers, times g(I), the
+    ways to finish from I, from one backward pass over the same layers,
+    g(I) = sum of g(I + a) over the addable elements a packed in I's
+    value, with g = 1 on the full set."""
+    n = p.n
+    full = (1 << n) - 1
+    ahead: dict[int, int] = {}  # g of every down-set passed so far
+    through = {}
+    for layer in reversed([*_layers(p)]):
+        for mask, val in layer.items():
+            free = val & full
+            g = 0 if free else 1
+            while free:
+                low = free & -free
+                free ^= low
+                g += ahead[mask | low]
+            ahead[mask] = g
+            through[mask] = (val >> n) * g
+    return through
 
 
 def count_extensions(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:

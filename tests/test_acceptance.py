@@ -114,8 +114,8 @@ WRONG_ROUTES = {
         ["406 classes checked, 3 violations"],
     ),
     "5-lift-si": (
-        5, acceptance, "count_extensions",
-        lambda real: lambda p: real(p) + 1,
+        5, acceptance, "_counted",
+        lambda real: lambda n, height2: ((p, e + 1) for p, e in real(n, height2)),
         ["43 (P, R) pairs checked, 43 mismatches"],
     ),
     "5-decompose-kind": (
@@ -132,8 +132,8 @@ WRONG_ROUTES = {
     ),
     # the one odd-e class has e = 25
     "8": (
-        8, acceptance, "count_extensions",
-        lambda real: lambda p: real(p) + 2,
+        8, acceptance, "_counted",
+        lambda real: lambda n, height2: ((p, e + 2) for p, e in real(n, height2)),
         ["odd-e classes: 1, violations: [27]"],
     ),
     # the two-below criterion claims the one-element chain (si = 1)

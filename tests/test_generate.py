@@ -10,6 +10,7 @@ from posetsi import (
     antichain,
     canonical_form,
     chain,
+    count_extensions,
     disjoint_union,
     enumerate_posets,
     from_covers,
@@ -301,3 +302,13 @@ def test_census_computes_few_canonical_forms(monkeypatch, own_class_cache):
         own_class_cache(n, height2)
         counts.append(sum(fresh))
     assert counts == [467, 422]
+
+
+@pytest.mark.parametrize("height2, nmax", [(False, 7), (True, 9)])
+def test_census_values_are_the_walk(height2, nmax):
+    for n in range(nmax + 1):
+        counted = list(generate._counted(n, height2))
+        assert [p for p, _ in counted] == list(
+            enumerate_posets(n, max_height=2 if height2 else None)
+        )
+        assert [e for _, e in counted] == [count_extensions(p) for p, _ in counted]

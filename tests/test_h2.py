@@ -387,10 +387,12 @@ def test_count_f_raises_when_its_routes_disagree(monkeypatch):
 
 
 def test_odd_e_bounds_raises_on_a_count_out_of_bounds(monkeypatch):
-    from posetsi import h2
+    from posetsi import generate
 
-    real = h2.count_extensions
-    monkeypatch.setattr(h2, "count_extensions", lambda p: real(p) + 1000)
+    real = generate._counted
+    monkeypatch.setattr(
+        generate, "_counted", lambda n, h2: ((p, e + 1000) for p, e in real(n, h2))
+    )
     with pytest.raises(VerificationError, match=r"odd e=1005 outside \[4, 6\] on 4"):
         odd_e_bounds(2)
 

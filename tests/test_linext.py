@@ -284,6 +284,23 @@ def test_walk_lists_every_downset():
             assert sorted(m for layer in layers for m in layer) == brute
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(labelled_posets(max_n=6), st.data())
+def test_through_weights_count_extensions_by_prefix(poset, data):
+    n, relations = poset
+    p = from_covers(n, relations)
+    through = linext._through(p)
+    e = brute_signed(n, relations)[0]
+    # each extension passes through exactly one down-set of each size
+    for k in range(n + 1):
+        assert sum(w for i, w in through.items() if i.bit_count() == k) == e
+    # a new maximal element over D follows some down-set I that holds D
+    d = data.draw(st.sampled_from(sorted(through)))
+    child = p.add_maximal(d)
+    want = brute_signed(n + 1, list(child.relations()))[0]
+    assert sum(w for i, w in through.items() if i & d == d) == want
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(labelled_posets())
 def test_walk_matches_brute_force(poset):
