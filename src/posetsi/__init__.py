@@ -23,7 +23,7 @@ _MODULES = {
     "generate": "enumerate_posets poset_class_count",
     "h2": "Decomposition build_lift count_f count_f_q decompose enumerate_good_sets "
     "good_base h2sb_decide odd_e_bounds spectrum",
-    "linext": "SignedCount at_least_k count_extensions count_mod enumerate_extensions "
+    "linext": "SignedCount at_least_k count_extensions enumerate_extensions "
     "forest_count phi ruskey_criterion sign signed_count stanley_criterion",
     "poset": "Poset PosetStats antichain chain disjoint_union from_covers grid "
     "ordinal_sum stats zigzag",

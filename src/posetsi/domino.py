@@ -14,20 +14,15 @@ tableau from its pairs and its adapted count from the quotient, with no
 label array. ``si_via_quotients`` sums the same terms without listing
 them, to the signed sum over all extensions: one signed walk over the
 down-sets that sequences of dominoes reach, bounded by a down-set cap,
-not by ``MATCHING_CAP``. ``exists_q_adapted`` reads the layers of the
-down-set walk that counts e(P), and lists no extension."""
+not by ``MATCHING_CAP``. ``exists_q_adapted`` searches depth first
+for a chain of connected q-blocks whose prefixes are down-sets, and
+lists no extension."""
 
 from typing import Iterator, NamedTuple
 
 from .errors import CycleError, MalformedPartition, NotATableau, ResourceLimit
 from .linext import DOWNSET_CAP, count_extensions
-from .linext import (
-    _downset_limit,
-    _layers,
-    _parity,
-    _upper_covers,
-    _validate,
-)
+from .linext import _downset_limit, _parity, _upper_covers, _validate
 from .poset import Poset, _components, _cover_down, from_covers, iter_bits
 
 __all__ = [
@@ -300,21 +295,39 @@ def is_q_adapted(p: Poset, labels: tuple[int, ...], q: int) -> bool:
 
 
 def exists_q_adapted(p: Poset, q: int) -> bool:
-    """Whether some extension is q-adapted, decided on the layers of
-    ``linext._layers`` with no extension listed. ``reach`` holds the
-    down-sets of size j*q that j connected q-blocks build from the empty
-    one; a down-set D of the next such layer joins when D - R is connected
-    for some R in ``reach`` below it. R and D are down-sets, so that block
-    may follow R in any order that respects P, and so may the fewer than
-    q elements left after the last block."""
+    """Whether some extension is q-adapted, decided with no extension
+    listed, by a depth-first search over the down-sets R that a chain of
+    connected q-blocks builds from the empty one. From R it adds q
+    addable elements in every way, one set of down-sets per step, and
+    pushes once each down-set D so reached with D - R connected. Testing
+    only the whole block reaches every down-set of size |R| + q above R,
+    where growing the block connected would miss a < c > b from {a}. D
+    and R are down-sets, so that block may follow R in any order that
+    respects P, and so may the fewer than q elements left after the last
+    block. The down-sets held at once, those pushed and those of the step
+    being grown, count toward ``DOWNSET_CAP``."""
     if q < 2:
         raise ValueError("block size must be at least 2")
-    reach = [0]
-    # the walk stops at the last block's layer
-    for k, layer in zip(range(p.n // q * q + 1), _layers(p)):
-        if k and not k % q:
-            reach = [
-                d for d in layer
-                if any(not r & ~d and len(_components(p, d ^ r)) == 1 for r in reach)
-            ]
-    return bool(reach)
+    n, down = p.n, p.down
+    full = (1 << n) - 1
+    seen = {0}
+    stack = [0]
+    while stack:
+        r = stack.pop()
+        if r.bit_count() == n // q * q:
+            return True
+        step = {r}
+        for _ in range(q):
+            nxt = set()
+            for mask in step:
+                for x in iter_bits(full ^ mask):
+                    if not down[x] & ~mask:
+                        nxt.add(mask | 1 << x)
+                        if len(seen) + len(nxt) > DOWNSET_CAP:
+                            raise _downset_limit(DOWNSET_CAP, mask.bit_count() + 1, n)
+            step = nxt
+        for d in step - seen:
+            if len(_components(p, d ^ r)) == 1:
+                seen.add(d)
+                stack.append(d)
+    return False

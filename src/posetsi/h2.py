@@ -22,7 +22,6 @@ from .linext import _at_least_k
 from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
-    "GoodSet",
     "Decomposition",
     "good_base",
     "enumerate_good_sets",

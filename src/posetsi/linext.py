@@ -11,11 +11,10 @@ against the others:
 
 - The down-set walk, ``_layers``, serves every poset and every public
   count: e(P), or e(P) and the signed sum together in a single pass,
-  e(P) mod q and the list of down-sets that poset generation attaches
-  new elements over. ``domino.exists_q_adapted`` reads its layers too,
-  and ``_through`` adds one backward pass over them, giving the
-  extensions that pass through each down-set, from which the census
-  sums e of every child of a parent (``generate._counted``).
+  and the list of down-sets that poset generation attaches new
+  elements over. ``_through`` adds one backward pass over its layers,
+  giving the extensions that pass through each down-set, from which
+  the census sums e of every child of a parent (``generate._counted``).
 - The forest route, ``forest_count``, takes O(n^2) big-integer steps
   when the Hasse diagram is a forest (fences, chains, antichains, trees)
   and declines every other poset. The public counts and every
@@ -37,9 +36,9 @@ against the others:
   ``_upper_covers``, the sign rule below and the cap's error with
   ``_layers``.
 
-``count_extensions``, ``signed_count`` and ``count_mod`` are the walk by
-name; CLI ``count`` and ``si`` pick a route by ``plan.e`` and
-``plan.signed``.
+``count_extensions`` and ``signed_count`` are the walk by name, each
+reading its last layer; CLI ``count`` and ``si`` pick a route by
+``plan.e`` and ``plan.signed``.
 
 Each stored down-set of the walk keeps one int that packs its count
 (its even and odd ways, when signed) above its addable set, the minimal
@@ -69,7 +68,6 @@ __all__ = [
     "sign",
     "count_extensions",
     "signed_count",
-    "count_mod",
     "forest_count",
     "enumerate_extensions",
     "at_least_k",
@@ -205,19 +203,6 @@ def _layers(
         cur = nxt
 
 
-def _full_count(p: Poset, downset_cap: int, signed: bool = False) -> tuple[int, int]:
-    """(e(P), signed sum), read from the walk's last layer; the signed
-    sum is 0 unless ``signed``."""
-    for layer in _layers(p, downset_cap, signed):
-        pass
-    ways = layer[(1 << p.n) - 1] >> p.n
-    if not signed:
-        return ways, 0
-    w = _width(p.n)
-    even, odd = ways >> w, ways & ((1 << w) - 1)
-    return even + odd, even - odd
-
-
 def _through(p: Poset) -> dict[int, int]:
     """Each down-set I of P with the number of extensions whose first |I|
     elements are I: f(I), the count of the walk's layers, times g(I), the
@@ -242,22 +227,22 @@ def _through(p: Poset) -> dict[int, int]:
 
 
 def count_extensions(p: Poset, downset_cap: int = DOWNSET_CAP) -> int:
-    """Exact e(P) by dynamic programming over down-sets."""
-    return _full_count(p, downset_cap)[0]
+    """Exact e(P) by dynamic programming over down-sets: the count of
+    the walk's last layer."""
+    for layer in _layers(p, downset_cap):
+        pass
+    return layer[(1 << p.n) - 1] >> p.n
 
 
 def signed_count(p: Poset, downset_cap: int = DOWNSET_CAP) -> SignedCount:
     """e(P) together with the exact signed sum over all extensions, from
-    one walk."""
-    total, sgn = _full_count(p, downset_cap, signed=True)
-    return SignedCount(total, sgn, abs(sgn))
-
-
-def count_mod(p: Poset, q: int) -> int:
-    """e(P) mod q, reduced from the exact count."""
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
-    return _full_count(p, DOWNSET_CAP)[0] % q
+    the even and odd ways of one signed walk's last layer."""
+    for layer in _layers(p, downset_cap, signed=True):
+        pass
+    ways = layer[(1 << p.n) - 1] >> p.n
+    w = _width(p.n)
+    even, odd = ways >> w, ways & ((1 << w) - 1)
+    return SignedCount(even + odd, even - odd, abs(even - odd))
 
 
 def _binom_minus_one(m: int, k: int) -> int:

@@ -34,8 +34,8 @@
    (seeds 1-40) it keeps 0.6k-11k states where the walk stores 45k-50k
    down-sets.
 
-``count_extensions``, ``signed_count`` and ``count_mod`` stay the walk,
-so every criterion and test keeps the route it names; CLI ``count`` and
+``count_extensions`` and ``signed_count`` stay the walk, so every
+criterion and test keeps the route it names; CLI ``count`` and
 ``si`` come here. ``e`` loads neither ``domino`` nor ``h2``: ``signed``
 imports ``domino`` when it runs, and ``h2`` only for a part of height 2.
 """

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_signed, labelled_posets
 from posetsi import (
@@ -15,7 +15,6 @@ from posetsi import (
     antichain,
     chain,
     count_extensions,
-    count_mod,
     disjoint_union,
     enumerate_extensions,
     enumerate_posets,
@@ -509,7 +508,7 @@ def test_antichain_three_not_three_adapted():
     for lab in enumerate_extensions(p):
         assert not is_q_adapted(p, lab, 3)
     assert not exists_q_adapted(p, 3)
-    assert count_mod(p, 3) == 0  # consistent with the divisibility lemma
+    assert count_extensions(p) % 3 == 0  # consistent with the divisibility lemma
 
 
 @pytest.mark.parametrize("q", [1, 0, -2])
@@ -538,7 +537,7 @@ def test_q_adapted_existence_sweep():
     for n in range(6):
         for p in enumerate_posets(n):
             for q in (2, 3, 5):
-                if count_mod(p, q) != 0:
+                if count_extensions(p) % q != 0:
                     assert exists_q_adapted(p, q)
 
 
@@ -559,6 +558,37 @@ def test_q_adapted_existence_matches_the_brute_route_and_lists_nothing(monkeypat
     monkeypatch.setattr(linext, "enumerate_extensions", listing)
     monkeypatch.setattr(linext, "_enumerated_signed", listing)
     assert [exists_q_adapted(p, q) for p in classes for q in qs] == brute
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(labelled_posets(max_n=6), st.sampled_from([2, 3, 4]))
+def test_q_adapted_existence_matches_the_brute_route_on_labelled_orders(poset, q):
+    p = from_covers(*poset)
+    brute = any(is_q_adapted(p, lab, q) for lab in enumerate_extensions(p))
+    assert exists_q_adapted(p, q) == brute
+
+
+def test_q_adapted_existence_cap_counts_every_held_downset(monkeypatch):
+    # the empty down-set is seen, and the first step holds the singletons
+    monkeypatch.setattr(domino, "DOWNSET_CAP", 5)
+    with pytest.raises(ResourceLimit, match=r"cap 5 in layer 1 of 8.*--downset-cap"):
+        exists_q_adapted(antichain(8), 2)
+    # on chain(4), {} and {0, 1} are pushed while {0, 1, 2} is grown
+    monkeypatch.setattr(domino, "DOWNSET_CAP", 3)
+    assert exists_q_adapted(chain(4), 2)
+    monkeypatch.setattr(domino, "DOWNSET_CAP", 2)
+    with pytest.raises(ResourceLimit, match=r"cap 2 in layer 3 of 4.*--downset-cap"):
+        exists_q_adapted(chain(4), 2)
+
+
+def test_q_adapted_existence_on_disjoint_chains_is_fast():
+    # 3**10 down-sets, and the first blocks tried are connected
+    p = chain(2)
+    for _ in range(9):
+        p = disjoint_union(p, chain(2))
+    start = time.perf_counter()
+    assert exists_q_adapted(p, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("q", [2, 3])

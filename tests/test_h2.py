@@ -14,7 +14,6 @@ from posetsi import (
     chain,
     count_extensions,
     count_f,
-    count_mod,
     count_f_q,
     decompose,
     disjoint_union,
@@ -409,13 +408,12 @@ def test_odd_e_bounds_raises_on_a_count_out_of_bounds(monkeypatch):
         lambda: odd_e_bounds(5),
         lambda: spectrum(-1),
         lambda: spectrum(9),
-        lambda: count_mod(chain(2), 1),
         lambda: h2sb_decide(chain(2), -1),
     ],
     ids=[
         "count_f-low", "count_f-high", "count_f_q-low", "count_f_q-high",
         "count_f_q-modulus", "odd_e_bounds-low", "odd_e_bounds-high",
-        "spectrum-low", "spectrum-high", "count_mod-modulus",
+        "spectrum-low", "spectrum-high",
         "h2sb_decide-threshold",
     ],
 )

@@ -155,3 +155,13 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from posetsi import *", namespace)
     assert set(posetsi.__all__) <= set(namespace)
+
+
+def test_module_and_package_tables_of_public_names_agree():
+    # a name deleted from one table must go from the other; constants
+    # are public in their module but not exported by the package, and a
+    # module without __all__ exports its names without a leading _
+    for module, names in posetsi._MODULES.items():
+        space = vars(importlib.import_module(f"posetsi.{module}"))
+        public = space.get("__all__") or [n for n in space if not n.startswith("_")]
+        assert {name for name in public if not name.isupper()} == set(names.split())

@@ -13,7 +13,6 @@ from posetsi import (
     at_least_k,
     chain,
     count_extensions,
-    count_mod,
     disjoint_union,
     enumerate_extensions,
     enumerate_posets,
@@ -311,8 +310,6 @@ def test_walk_matches_brute_force(poset):
     sc = signed_count(p)
     assert (sc.total, sc.signed) == (e, signed)
     assert linext._enumerated_signed(p) == (e, signed)
-    for q in (2, 3, 5):
-        assert count_mod(p, q) == e % q
     assert si_via_quotients(p) == signed
 
 
@@ -395,16 +392,6 @@ def test_forest_route_declines_a_cycle(eight_cycle):
     assert forest_count(n_poset) == signed_count(n_poset)
     assert forest_count(n_poset).total == 5
     assert forest_count(antichain(0)) == signed_count(antichain(0))
-
-
-def test_count_mod():
-    assert count_mod(zigzag(6), 2) == 1
-    assert count_mod(antichain(3), 3) == 0
-    for n in range(6):
-        for p in enumerate_posets(n):
-            e = count_extensions(p)
-            for q in (2, 3, 5, 7):
-                assert count_mod(p, q) == e % q
 
 
 def test_at_least_k_near_chain():
