@@ -2,13 +2,16 @@
 
 The canonical form is the lexicographically least relation encoding over
 all element orderings compatible with an iteratively refined vertex
-partition. Refinement stops once every color is held by one element.
-Twin pruning, on ``poset._twins``, keeps the search small for the
-n <= 12 regime this toolkit targets; an explicit stack lets it go deeper.
-Two posets are isomorphic exactly when their forms are equal.
+partition. Refinement stops once every color is held by one element. A
+poset keeps its colors in ``_colors`` beside its form in ``_canon``, so
+it is refined at most once: the census reads the same colors for its
+deletion ties, for the form and for its buckets. Twin pruning, on
+``poset._twins``, keeps the search small for the n <= 12 regime this
+toolkit targets; an explicit stack lets it go deeper. Two posets are
+isomorphic exactly when their forms are equal.
 """
 
-from .poset import Poset, _twins, iter_bits
+from .poset import Poset, _twins
 
 __all__ = ["canonical_form", "is_isomorphic"]
 
@@ -18,29 +21,42 @@ def _refined_colors(p: Poset) -> list[int]:
     up to relabeling. Colors are dense ranks of invariant signatures. A
     color held by one element is final: its signature is the color alone,
     which keeps its rank, since the color leads every signature."""
+    if p._colors is not None:
+        return p._colors
     n = p.n
-    sig = [
+    colors = _rank([
         (p.down[v].bit_count(), p.up[v].bit_count(), p.cover_up[v].bit_count())
         for v in range(n)
-    ]
-    colors = _rank(sig)
+    ])
     last, classes = 0, len(set(colors))
+    if classes < n:
+        rows = list(zip(map(_bits, p.up), map(_bits, p.down), map(_bits, p.cover_up)))
     while last < classes < n:
         size = [0] * n
         for c in colors:
             size[c] += 1
-        sig = []
-        for v, c in enumerate(colors):
-            if size[c] == 1:
-                sig.append((c,))
-                continue
-            above = sorted(colors[j] for j in iter_bits(p.up[v]))
-            below = sorted(colors[j] for j in iter_bits(p.down[v]))
-            covup = sorted(colors[j] for j in iter_bits(p.cover_up[v]))
-            sig.append((c, tuple(above), tuple(below), tuple(covup)))
-        colors = _rank(sig)
+        get = colors.__getitem__
+        colors = _rank([
+            (c,) if size[c] == 1 else (
+                c,
+                tuple(sorted(map(get, above))),
+                tuple(sorted(map(get, below))),
+                tuple(sorted(map(get, covup))),
+            )
+            for c, (above, below, covup) in zip(colors, rows)
+        ])
         last, classes = classes, len(set(colors))
+    p._colors = colors
     return colors
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _rank(signatures: list) -> list[int]:

@@ -10,21 +10,24 @@ computed (McKay, "Isomorph-free exhaustive generation", 1998):
   (``poset._twins``), and any permutation inside a twin group is an
   automorphism of the parent. D is kept only if it meets every twin
   group in a prefix: with an element, D holds all its lower twins.
-* Canonical deletion. A maximal element x has the key (|down x|, number
-  of lower covers, sorted |down y| over its lower covers y), which reads
-  down-rows only and is invariant under isomorphism. D is kept only if no
-  maximal element of the parent outside D has a larger key than the new
-  element. Adding a maximal element changes no old down-row, so the
-  parent's keys are computed once per parent, and keys compare |D|
-  first, so D is dropped before its key is computed when a rival's
-  down-set is larger.
+* Canonical deletion. A maximal element x of the child C has the key
+  (|down x|, number of lower covers, sorted |down y| over its lower
+  covers y, refined colour of x in C), which is invariant under
+  isomorphism. D is kept only if no maximal element of the parent
+  outside D has a larger key than the new element. Adding a maximal
+  element changes no old down-row, so the first three parts are computed
+  once per parent. Keys compare |D| first, so D is dropped before its
+  key is computed when a rival's down-set is larger, and the colour is
+  read only when a rival that is not a twin of the new element ties
+  with it on the first three parts: twins share their colour.
 
 Why no class is lost: take any class, delete a maximal element x with the
 largest key, and map the rest onto its listed representative; the image
-of down x is a down-set that passes the second rule. The twin
-permutation that moves it to prefixes is an automorphism of the parent,
-so it keeps every key and passes both rules. A height-2 class loses only
-height by the deletion, so the same holds for the height-2 lists.
+of down x is a down-set whose child is the class, with x as the new
+element, so it passes the second rule. The twin permutation that moves
+it to prefixes is an automorphism of the parent, so it keeps every key
+and passes both rules. A height-2 class loses only height by the
+deletion, so the same holds for the height-2 lists.
 
 A third rule decides which children need a canonical form. Let S(C) be
 the maximal elements of a child C with the largest key. Call C alone
@@ -47,7 +50,7 @@ lies in the Aut(P)-orbit of its own down-set D:
 
 Refined colours are invariant under automorphisms, so the alone
 siblings are put into buckets keyed by the sorted colours of P over D,
-with the colours computed once per parent. A canonical form is computed
+which P keeps if it was refined as a child. A canonical form is computed
 only when a bucket already holds a child, and the first child of each
 class is kept. Tied children keep a seen-set of canonical forms per
 level. The kept representatives and their order are those a seen-set
@@ -126,12 +129,18 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]
         key = _key(rep, down_mask)
         if rivals and rivals[0][0] > key:
             continue
-        # alone when every rival with the key is a twin of the new element
-        if all(k < key or rep.down[x] == down_mask for k, x in rivals):
-            bucket = tuple(sorted(colors[i] for i in iter_bits(down_mask)))
-            yield rep.add_maximal(down_mask), bucket
+        child = rep.add_maximal(down_mask)
+        # rivals tied with the new element x that are not its twins are
+        # weighed against x by their colours in the child
+        ties = [x for k, x in rivals if k == key and rep.down[x] != down_mask]
+        if ties:
+            colored = _refined_colors(child)
+            if any(colored[x] > colored[-1] for x in ties):
+                continue
+        if not ties or all(colored[x] < colored[-1] for x in ties):
+            yield child, tuple(sorted(colors[i] for i in iter_bits(down_mask)))
         else:
-            yield rep.add_maximal(down_mask), None
+            yield child, None
 
 
 def _kept(rep: Poset, height2: bool, seen: set[bytes]) -> Iterator[Poset]:
@@ -196,8 +205,8 @@ def enumerate_posets(n: int, max_height: int | None = None) -> Iterator[Poset]:
 
     ``max_height`` keeps the classes of at most that height: a bound of 2
     or less prunes generation to height 2, and any bound other than 2 is
-    also a post-filter. Practical bound is n <= 8 for the full lattice of
-    classes.
+    also a post-filter. The full census at n = 9, the last entry of
+    ``CLASS_COUNTS``, takes about 5 s.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -51,7 +51,7 @@ class Poset:
     which extends the parent's rows and does not call the constructor.
     """
 
-    __slots__ = ("n", "up", "down", "cover_up", "_canon")
+    __slots__ = ("n", "up", "down", "cover_up", "_canon", "_colors")
 
     def __init__(self, n: int, up: tuple[int, ...]):
         _check_size(n)
@@ -81,7 +81,7 @@ class Poset:
                 down[low.bit_length() - 1] |= below
         self.down = tuple(down)
         self.cover_up = tuple(cover)
-        self._canon = None
+        self._canon = self._colors = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -172,7 +172,7 @@ class Poset:
         child.up = (*up, 0)
         child.down = (*self.down, down_mask)
         child.cover_up = (*cover, 0)
-        child._canon = None
+        child._canon = child._colors = None
         return child
 
 

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,8 +19,8 @@ from posetsi import (
     stats,
     zigzag,
 )
-from posetsi import generate
-from test_canon import brute_classes
+from posetsi import canon, generate
+from test_canon import _reference_colors, brute_classes
 
 
 def test_known_class_counts_small():
@@ -160,13 +160,21 @@ def test_pruned_generation_matches_unpruned_reference(height2, nmax):
         assert set(got) == want[n]
 
 
-def deletion_key(q, x):
-    lower = [y for y in range(q.n) if q.cover_up[y] >> x & 1]
-    return (
-        q.down[x].bit_count(),
-        len(lower),
-        sorted(q.down[y].bit_count() for y in lower),
-    )
+def deletion_keys(q):
+    """The deletion key of each maximal element x of q, extended by the
+    refined colour of x in q."""
+    colors = _reference_colors(q)
+    keys = {}
+    for x in range(q.n):
+        if not q.up[x]:
+            lower = [y for y in range(q.n) if q.cover_up[y] >> x & 1]
+            keys[x] = (
+                q.down[x].bit_count(),
+                len(lower),
+                sorted(q.down[y].bit_count() for y in lower),
+                colors[x],
+            )
+    return keys
 
 
 def keyed_child_forms(p, height2):
@@ -174,8 +182,8 @@ def keyed_child_forms(p, height2):
     among the child's maximal elements."""
     out = set()
     for q in all_children(p, height2):
-        keys = [deletion_key(q, x) for x in range(q.n) if not q.up[x]]
-        if deletion_key(q, p.n) == max(keys):
+        keys = deletion_keys(q)
+        if keys[p.n] == max(keys.values()):
             out.add(canonical_form(q))
     return out
 
@@ -232,7 +240,7 @@ TOP_FENCE5 = from_covers(5, [(0, 2), (0, 4), (1, 3), (1, 4)])
 def tied(child):
     """Whether some maximal element of ``child`` with the largest deletion
     key has a down-set other than that of the new element, the last."""
-    keys = {x: deletion_key(child, x) for x in range(child.n) if not child.up[x]}
+    keys = deletion_keys(child)
     top = max(keys.values())
     return any(child.down[x] != child.down[-1] for x, k in keys.items() if k == top)
 
@@ -287,7 +295,8 @@ def test_add_maximal_rows_match_the_constructor():
 
 def test_census_computes_few_canonical_forms(monkeypatch, own_class_cache):
     # counts the forms computed, not those read back from ``_canon``; while
-    # a child tied with its twins was tied, the census computed 668 and 800
+    # a child tied with its twins was tied, the census computed 668 and 800,
+    # and while colours did not break ties of the key, 467 and 422
     fresh = []
     form = generate.canonical_form
 
@@ -301,7 +310,40 @@ def test_census_computes_few_canonical_forms(monkeypatch, own_class_cache):
         fresh.clear()
         own_class_cache(n, height2)
         counts.append(sum(fresh))
-    assert counts == [467, 422]
+    assert counts == [249, 349]
+
+
+def test_census_refines_each_poset_once(monkeypatch, own_class_cache):
+    # a child's colours break its key's ties, give its form and, once it
+    # is a parent, its buckets: one refinement serves all three
+    refined = []
+    refine = canon._refined_colors
+
+    def recording(p):
+        if p._colors is None:
+            refined.append(p)
+        return refine(p)
+
+    monkeypatch.setattr(canon, "_refined_colors", recording)
+    monkeypatch.setattr(generate, "_refined_colors", recording)
+    for n, height2 in ((8, True), (7, False)):
+        refined.clear()
+        own_class_cache(n, height2)
+        assert refined and len({id(p) for p in refined}) == len(refined)
+
+
+@pytest.mark.parametrize("height2, nmax", [(False, 5), (True, 6)])
+def test_automorphism_count_divides_e(height2, nmax):
+    # Aut(P) acts freely on linear extensions: an automorphism that fixes
+    # one extension fixes every element
+    for n in range(nmax + 1):
+        for p, e in generate._counted(n, height2):
+            rel = set(p.relations())
+            aut = sum(
+                all((perm[a], perm[b]) in rel for a, b in rel)
+                for perm in permutations(range(n))
+            )
+            assert e % aut == 0
 
 
 @pytest.mark.parametrize("height2, nmax", [(False, 7), (True, 9)])
