@@ -50,7 +50,8 @@ lies in the Aut(P)-orbit of its own down-set D:
 
 Refined colours are invariant under automorphisms, so the alone
 siblings are put into buckets keyed by the sorted colours of P over D,
-which P keeps if it was refined as a child. A canonical form is computed
+which P keeps if it was refined as a child. P is refined for its buckets
+only once it has a second alone child. A canonical form is computed
 only when a bucket already holds a child, and the first child of each
 class is kept. Tied children keep a seen-set of canonical forms per
 level. The kept representatives and their order are those a seen-set
@@ -102,11 +103,10 @@ def _key(p: Poset, below: int) -> tuple:
     )
 
 
-def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]:
+def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, bool]]:
     """Children of ``rep`` that pass the twin-orbit and canonical-deletion
-    rules, each with its bucket: the sorted colours of rep over the
-    down-set for an alone child, None for a tied one. Every class on
-    rep.n + 1 elements is among the children of its listed parent."""
+    rules, each with whether it is alone. Every class on rep.n + 1
+    elements is among the children of its listed parent."""
     if height2:
         # new maximal element over minimal elements only keeps height <= 2
         choices: Iterable[int] = _submasks(rep.minimal_mask)
@@ -118,7 +118,6 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]
         ((_key(rep, rep.down[x]), x) for x in range(rep.n) if not rep.up[x]),
         reverse=True,
     )
-    colors = _refined_colors(rep)
     for down_mask in choices:
         if any(down_mask & bit and m & ~down_mask for bit, m in twinned):
             continue
@@ -137,25 +136,36 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, tuple | None]]
             colored = _refined_colors(child)
             if any(colored[x] > colored[-1] for x in ties):
                 continue
-        if not ties or all(colored[x] < colored[-1] for x in ties):
-            yield child, tuple(sorted(colors[i] for i in iter_bits(down_mask)))
-        else:
-            yield child, None
+        yield child, not ties or all(colored[x] < colored[-1] for x in ties)
+
+
+def _bucket(rep: Poset, down_mask: int) -> tuple:
+    """Bucket of the alone child of ``rep`` over ``down_mask``: the sorted
+    colours of rep over the down-set."""
+    colors = _refined_colors(rep)
+    return tuple(sorted(colors[i] for i in iter_bits(down_mask)))
 
 
 def _kept(rep: Poset, height2: bool, seen: set[bytes]) -> Iterator[Poset]:
     """The children of ``rep`` that are the first of their class: an alone
     child is compared only with the kept children of its bucket, a tied
-    one with the forms in ``seen``, the level's tied classes so far."""
+    one with the forms in ``seen``, the level's tied classes so far. The
+    first alone child is kept unbucketed, so rep is refined for buckets
+    only once a second alone child comes."""
     buckets: dict[tuple, list[Poset]] = {}
-    for cand, bucket in _children(rep, height2):
-        if bucket is None:
+    first = None
+    for cand, alone in _children(rep, height2):
+        if not alone:
             key = canonical_form(cand)
             if key in seen:
                 continue
             seen.add(key)
+        elif first is None:
+            first = cand
         else:
-            kept = buckets.setdefault(bucket, [])
+            if not buckets:
+                buckets[_bucket(rep, first.down[-1])] = [first]
+            kept = buckets.setdefault(_bucket(rep, cand.down[-1]), [])
             if kept and canonical_form(cand) in map(canonical_form, kept):
                 continue
             kept.append(cand)

@@ -10,7 +10,11 @@ Only the census functions (``count_f``, ``count_f_q``, ``odd_e_bounds``
 and ``spectrum``) import ``generate`` and ``canon``, when they run, so
 the lift, its inverse and the decider load neither. They read e from
 the census values of ``generate._counted``, each class's from its
-parent's tables, so none walks a class on its own.
+parent's tables. ``count_f_q`` and ``spectrum`` read the height-2
+census; ``count_f`` reads the full census on half the elements for its
+formula route and the height-2 census for its direct route;
+``odd_e_bounds`` reads the full census on n elements for its odd-e
+bases, and walks each of their lifts on 2n.
 """
 
 import math
@@ -18,7 +22,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import BadGoodSet, HeightExceeded, VerificationError
-from .linext import _at_least_k
+from .linext import _at_least_k, count_extensions
 from .poset import Poset, from_covers, iter_bits, stats
 
 __all__ = [
@@ -199,35 +203,52 @@ def count_f_q(m: int, q: int) -> int:
 
 def odd_e_bounds(n: int) -> dict:
     """Check every odd-e height-<=2 class on 2n vertices against
-    (n!)^2 <= e <= n!(2n-1)!! and check that the class is the lift of the
-    base and relation set that ``decompose`` returns. e is the census
-    value."""
-    from .canon import is_isomorphic
+    (n!)^2 <= e <= n!(2n-1)!!, built as a lift of an odd-e base.
+
+    e is congruent to si mod 2, so a height-<=2 poset with odd e is not
+    sign-balanced, and ``decompose`` returns it as lift(B, R) with
+    si = e(B), so e(B) is odd. Conversely every lift of an odd-e base B
+    has si = e(B) odd, hence odd e. So the odd-e classes on 2n vertices
+    are the lifts of the odd-e bases on n elements over their good sets.
+    Each lift's e is the walk's; it must be odd, and ``decompose`` must
+    give back a base and relation set whose lift is isomorphic to it.
+    Classes are the distinct canonical forms among the lifts.
+    """
+    from .canon import canonical_form, is_isomorphic
     from .generate import _counted
 
-    if n < 0 or 2 * n > 8:
-        raise ValueError("supported range is 2n <= 8")
+    if n < 0 or 2 * n > 12:
+        raise ValueError("supported range is 2n <= 12")
     lower = math.factorial(n) ** 2
     upper = math.factorial(n) * math.prod(range(1, 2 * n, 2))
-    values = []
-    for p, e in _counted(2 * n, True):
-        if e % 2 == 0:
+    classes: dict[bytes, int] = {}
+    for base, e_base in _counted(n, False):
+        if e_base % 2 == 0:
             continue
-        values.append(e)
-        if not lower <= e <= upper:
-            raise VerificationError(
-                f"odd e={e} outside [{lower}, {upper}] on {2 * n} vertices"
-            )
-        dec = decompose(p)
-        if dec.kind != "lift" or not is_isomorphic(build_lift(dec.base, dec.rel), p):
-            raise VerificationError("odd-e poset failed to decompose as a lift")
+        for rel in enumerate_good_sets(base):
+            lift = build_lift(base, rel)
+            e = count_extensions(lift)
+            if e % 2 == 0:
+                raise VerificationError(
+                    f"a lift of an odd-e base has even e={e} on {2 * n} vertices"
+                )
+            if not lower <= e <= upper:
+                raise VerificationError(
+                    f"odd e={e} outside [{lower}, {upper}] on {2 * n} vertices"
+                )
+            dec = decompose(lift)
+            if dec.kind != "lift" or not is_isomorphic(
+                build_lift(dec.base, dec.rel), lift
+            ):
+                raise VerificationError("odd-e poset failed to decompose as a lift")
+            classes[canonical_form(lift)] = e
     return {
         "n": n,
         "vertices": 2 * n,
         "lower": lower,
         "upper": upper,
-        "odd_e_values": sorted(set(values)),
-        "classes_with_odd_e": len(values),
+        "odd_e_values": sorted(set(classes.values())),
+        "classes_with_odd_e": len(classes),
     }
 
 

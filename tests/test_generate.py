@@ -260,8 +260,9 @@ def test_bucket_collisions_keep_one_child_per_class(parent, height2):
     # a reflection, a rotation or a swap of components is an automorphism
     # that permutes no twins, so isomorphic alone children share a bucket
     buckets = {}
-    for child, bucket in generate._children(parent, height2):
-        assert (bucket is None) == tied(child)
+    for child, alone in generate._children(parent, height2):
+        assert alone != tied(child)
+        bucket = generate._bucket(parent, child.down[-1]) if alone else None
         buckets.setdefault(bucket, []).append(canonical_form(child))
     assert any(len(set(f)) < len(f) for b, f in buckets.items() if b is not None)
     kept = [canonical_form(c) for c in generate._kept(parent, height2, set())]
@@ -275,11 +276,11 @@ def test_a_child_tied_only_with_twins_is_alone(parent, height2):
     # over D = {} in antichain(2), or {0, 1} in TOP_FENCE5, every maximal
     # element with the new element's key is a twin of it
     twinned = [
-        bucket
-        for child, bucket in generate._children(parent, height2)
+        alone
+        for child, alone in generate._children(parent, height2)
         if any(not child.up[x] and child.down[x] == child.down[-1] for x in range(parent.n))
     ]
-    assert twinned and None not in twinned
+    assert twinned and all(twinned)
 
 
 def test_add_maximal_rows_match_the_constructor():
@@ -330,6 +331,22 @@ def test_census_refines_each_poset_once(monkeypatch, own_class_cache):
         refined.clear()
         own_class_cache(n, height2)
         assert refined and len({id(p) for p in refined}) == len(refined)
+
+
+@pytest.mark.parametrize("height2, nmax", [(False, 5), (True, 6)])
+def test_parent_is_refined_only_for_two_alone_children(height2, nmax):
+    # no bucket compares a single alone child, so its parent's colours
+    # are not needed; a fresh copy of each class carries none
+    single = 0
+    for n in range(nmax + 1):
+        for p in enumerate_posets(n, max_height=2 if height2 else None):
+            parent = Poset(p.n, p.up)
+            alone = sum(a for _, a in generate._children(parent, height2))
+            assert parent._colors is None
+            list(generate._kept(parent, height2, set()))
+            assert (parent._colors is not None) == (alone > 1)
+            single += alone == 1
+    assert single
 
 
 @pytest.mark.parametrize("height2, nmax", [(False, 5), (True, 6)])

@@ -386,14 +386,56 @@ def test_count_f_raises_when_its_routes_disagree(monkeypatch):
 
 
 def test_odd_e_bounds_raises_on_a_count_out_of_bounds(monkeypatch):
-    from posetsi import generate
-
-    real = generate._counted
-    monkeypatch.setattr(
-        generate, "_counted", lambda n, h2: ((p, e + 1000) for p, e in real(n, h2))
-    )
+    # e of each lift is the walk's, read through h2's ``count_extensions``
+    real = h2.count_extensions
+    monkeypatch.setattr(h2, "count_extensions", lambda p: real(p) + 1000)
     with pytest.raises(VerificationError, match=r"odd e=1005 outside \[4, 6\] on 4"):
         odd_e_bounds(2)
+
+
+def test_odd_e_bounds_raises_on_an_even_lift(monkeypatch):
+    # 5 + 1 = 6 lies within [4, 6], so only the parity check can catch it
+    real = h2.count_extensions
+    monkeypatch.setattr(h2, "count_extensions", lambda p: real(p) + 1)
+    with pytest.raises(VerificationError, match="even e=6 on 4 vertices"):
+        odd_e_bounds(2)
+
+
+def test_odd_e_bounds_counts_isomorphic_lifts_once(monkeypatch):
+    real = h2.enumerate_good_sets
+    monkeypatch.setattr(
+        h2, "enumerate_good_sets", lambda p: (r for r in real(p) for _ in range(2))
+    )
+    assert odd_e_bounds(4)["classes_with_odd_e"] == 13
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_odd_e_lifts_are_the_odd_e_census(n):
+    # the lift theorem at 2n <= 8: the lifts of the odd-e bases are the
+    # odd-e height-2 classes, read from the census on 2n elements
+    from posetsi.generate import _counted
+
+    census = {canonical_form(p): e for p, e in _counted(2 * n, True) if e % 2}
+    lifts = {
+        canonical_form(build_lift(b, r))
+        for b, e in _counted(n, False)
+        if e % 2
+        for r in enumerate_good_sets(b)
+    }
+    rep = odd_e_bounds(n)
+    assert lifts == set(census)
+    assert rep["odd_e_values"] == sorted(set(census.values()))
+    assert rep["classes_with_odd_e"] == len(census) == count_f(2 * n)["direct"]
+
+
+def test_odd_e_bounds_ten_vertices():
+    # this code's own regression values, not a published table
+    rep = odd_e_bounds(5)
+    values = rep["odd_e_values"]
+    assert rep["classes_with_odd_e"] == 139
+    assert len(values) == 82
+    assert (values[0], values[-1]) == (35505, 72585)
+    assert (rep["lower"], rep["upper"]) == (14400, 113400)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +447,7 @@ def test_odd_e_bounds_raises_on_a_count_out_of_bounds(monkeypatch):
         lambda: count_f_q(9, 2),
         lambda: count_f_q(4, 1),
         lambda: odd_e_bounds(-1),
-        lambda: odd_e_bounds(5),
+        lambda: odd_e_bounds(7),
         lambda: spectrum(-1),
         lambda: spectrum(9),
         lambda: h2sb_decide(chain(2), -1),
