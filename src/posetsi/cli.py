@@ -19,6 +19,9 @@ imports the rest it needs (``plan``, ``domino``, ``h2``, ``ruskey``,
 ``domino``, ``h2``, ``canon`` or ``generate``, and only the census
 subcommands load the last two. The ``ruskey`` caps read their defaults
 from ``ruskey.GRAPH_CAP`` and ``ruskey.HAMPATH_CAP`` in the handler.
+Likewise a query builds only its own subcommand's parser, from the
+table ``_COMMANDS``; ``-h``, no arguments or an unknown command build
+them all, so help and error texts stay those of the full parser.
 """
 
 import argparse
@@ -331,113 +334,95 @@ def _nonnegative(token: str) -> int:
     return value
 
 
-def _add_poset_arg(sub) -> None:
-    sub.add_argument(
-        "poset",
-        help="named family (chain:n, antichain:n, zigzag:n, grid:m:n), "
-        "a poset file, or '-' for stdin",
+def _opt(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_POSET = _opt(
+    "poset",
+    help="named family (chain:n, antichain:n, zigzag:n, grid:m:n), "
+    "a poset file, or '-' for stdin",
+)
+
+
+def _downset_cap(bounds: str) -> tuple:
+    return _opt(
+        "--downset-cap", type=_nonnegative, default=DOWNSET_CAP,
+        help="exit 3 once a down-set walk would store more than this "
+        "many distinct down-sets (order ideals, the empty one included); "
+        + bounds,
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name, help, then the arguments after --json; the handler of a
+# command is _cmd_<name>, looked up when the parser is built
+_COMMANDS = (
+    ("count", "number of linear extensions", _POSET,
+     _downset_cap("it bounds only the walk, on each part that is no Hasse forest")),
+    ("si", "sign imbalance by several routes", _POSET,
+     _downset_cap(
+         "it bounds each walk: the quotient route's, over the down-sets of "
+         "even size that dominoes reach, and the walk that counts e"
+     )),
+    ("domino", "list domino tableaux", _POSET),
+    ("lift", "two-level lift of a poset", _POSET,
+     _opt("--rel", help="file of extra relation pairs 'u v'")),
+    ("decompose", "invert the lift", _POSET),
+    ("h2sb", "decide si >= k for height-2 posets", _POSET,
+     _opt("--k", type=_nonnegative, required=True)),
+    ("f", "height-2 census counts",
+     _opt("--n", type=_nonnegative, required=True),
+     _opt("--q", type=_nonnegative)),
+    ("bounds", "odd-e bounds on 2n vertices",
+     _opt("--n", type=_nonnegative, required=True, help="half the vertex count")),
+    ("spectrum", "achievable extension counts",
+     _opt("--max-n", type=_nonnegative, required=True)),
+    ("ruskey", "transposition graph report", _POSET,
+     _opt("--adjacent", action="store_true",
+          help="adjacent-transposition edges only"),
+     _opt("--hampath", action="store_true",
+          help="search for a Hamiltonian path"),
+     _opt("--dump-graph", action="store_true",
+          help="print the vertex table and edge list"),
+     _opt("--graph-cap", type=_nonnegative,
+          help="exit 3 once the transposition graph would have more than "
+          "this many vertices (linear extensions)"),
+     _opt("--path-cap", type=_nonnegative,
+          help="exit 3 once the Hamiltonian path search has entered more "
+          "than this many search nodes (vertices, counted on every branch)")),
+    ("euler", "zigzag number table and primes",
+     _opt("--max-n", type=_nonnegative, default=30),
+     _opt("--congruence", action="store_true"),
+     _opt("--q", type=_nonnegative, action="append",
+          help="modulus for --congruence (repeatable)"),
+     _opt("--primes", action="store_true"),
+     _opt("--bound", type=_nonnegative, default=600)),
+    ("verify-all", "run the acceptance suite"),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, a
+    parser that holds only its subparser. That one's usage line still
+    lists every subcommand, so its error texts are the full parser's."""
     ap = argparse.ArgumentParser(
         prog="posetsi",
         description="sign imbalance of finite posets: exact counts, "
         "tableaux, height-2 lifts, transposition graphs",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(s):
-        s.add_argument("--json", action="store_true", help="machine output")
-        return s
-
-    def downset_cap(s, bounds):
-        s.add_argument(
-            "--downset-cap", type=_nonnegative, default=DOWNSET_CAP,
-            help="exit 3 once a down-set walk would store more than this "
-            "many distinct down-sets (order ideals, the empty one included); "
-            + bounds,
-        )
-
-    s = common(sub.add_parser("count", help="number of linear extensions"))
-    _add_poset_arg(s)
-    downset_cap(s, "it bounds only the walk, on each part that is no Hasse forest")
-    s.set_defaults(func=_cmd_count)
-
-    s = common(sub.add_parser("si", help="sign imbalance by several routes"))
-    _add_poset_arg(s)
-    downset_cap(
-        s,
-        "it bounds each walk: the quotient route's, over the down-sets of "
-        "even size that dominoes reach, and the walk that counts e",
+    names = [name for name, *_ in _COMMANDS]
+    one = command in names
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(names) + "}" if one else None,
     )
-    s.set_defaults(func=_cmd_si)
-
-    s = common(sub.add_parser("domino", help="list domino tableaux"))
-    _add_poset_arg(s)
-    s.set_defaults(func=_cmd_domino)
-
-    s = common(sub.add_parser("lift", help="two-level lift of a poset"))
-    _add_poset_arg(s)
-    s.add_argument("--rel", help="file of extra relation pairs 'u v'")
-    s.set_defaults(func=_cmd_lift)
-
-    s = common(sub.add_parser("decompose", help="invert the lift"))
-    _add_poset_arg(s)
-    s.set_defaults(func=_cmd_decompose)
-
-    s = common(sub.add_parser("h2sb", help="decide si >= k for height-2 posets"))
-    _add_poset_arg(s)
-    s.add_argument("--k", type=_nonnegative, required=True)
-    s.set_defaults(func=_cmd_h2sb)
-
-    s = common(sub.add_parser("f", help="height-2 census counts"))
-    s.add_argument("--n", type=_nonnegative, required=True)
-    s.add_argument("--q", type=_nonnegative)
-    s.set_defaults(func=_cmd_f)
-
-    s = common(sub.add_parser("bounds", help="odd-e bounds on 2n vertices"))
-    s.add_argument(
-        "--n", type=_nonnegative, required=True, help="half the vertex count"
-    )
-    s.set_defaults(func=_cmd_bounds)
-
-    s = common(sub.add_parser("spectrum", help="achievable extension counts"))
-    s.add_argument("--max-n", type=_nonnegative, required=True)
-    s.set_defaults(func=_cmd_spectrum)
-
-    s = common(sub.add_parser("ruskey", help="transposition graph report"))
-    _add_poset_arg(s)
-    s.add_argument("--adjacent", action="store_true",
-                   help="adjacent-transposition edges only")
-    s.add_argument("--hampath", action="store_true",
-                   help="search for a Hamiltonian path")
-    s.add_argument("--dump-graph", action="store_true",
-                   help="print the vertex table and edge list")
-    s.add_argument(
-        "--graph-cap", type=_nonnegative,
-        help="exit 3 once the transposition graph would have more than "
-        "this many vertices (linear extensions)",
-    )
-    s.add_argument(
-        "--path-cap", type=_nonnegative,
-        help="exit 3 once the Hamiltonian path search has entered more "
-        "than this many search nodes (vertices, counted on every branch)",
-    )
-    s.set_defaults(func=_cmd_ruskey)
-
-    s = common(sub.add_parser("euler", help="zigzag number table and primes"))
-    s.add_argument("--max-n", type=_nonnegative, default=30)
-    s.add_argument("--congruence", action="store_true")
-    s.add_argument("--q", type=_nonnegative, action="append",
-                   help="modulus for --congruence (repeatable)")
-    s.add_argument("--primes", action="store_true")
-    s.add_argument("--bound", type=_nonnegative, default=600)
-    s.set_defaults(func=_cmd_euler)
-
-    s = common(sub.add_parser("verify-all", help="run the acceptance suite"))
-    s.set_defaults(func=_cmd_verify_all)
-
+    for name, help_, *args in _COMMANDS:
+        if name == command or not one:
+            s = sub.add_parser(name, help=help_)
+            s.add_argument("--json", action="store_true", help="machine output")
+            for flags, kwargs in args:
+                s.add_argument(*flags, **kwargs)
+            s.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
     return ap
 
 
@@ -445,7 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     # exact answers may run past 4,300 digits; textio._int bounds input
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except VerificationError as exc:

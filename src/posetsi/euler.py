@@ -2,10 +2,14 @@
 
 E_n counts the linear extensions of the n-element zigzag poset (OEIS
 A000111 shifted to start at E_1 = 1). The table is computed by the
-boustrophedon recurrence with exact integers. The prime sweep streams
-the table once, modulo the product of the primes still under test, and
-drops each prime as soon as it divides a term or leaves its window; a
-modular variant backs the congruence check, one table per modulus. For
+boustrophedon recurrence with exact integers, each row as the prefix
+sums of the last one reversed. The prime sweep streams the table once,
+modulo the product of the primes still under test, and drops each prime
+as soon as it divides a term or leaves its window: the primes that
+divide E_n are those of gcd(E_n, modulus). A modular variant backs the
+congruence check, one table per modulus. Both reduce a row only once
+its last, largest entry is ``_SLACK_BITS`` bits past the modulus, and
+the sweep also whenever its modulus shrinks. For
 odd primes q and n > q the congruence E_n = E_q * E_{n-(q-1)} (mod q)
 reduces divisibility questions to the first q values; a guard window up
 to 3q is checked as well because the congruence fails for q = 2 (Euler
@@ -13,6 +17,7 @@ parities alternate from n = 3 on).
 """
 
 import math
+from itertools import accumulate
 
 from .errors import ResourceLimit
 
@@ -25,17 +30,21 @@ __all__ = [
 ]
 
 
+# a row is reduced once its largest entry is this many bits past the
+# modulus: entries stay a few limbs above it, and most rows skip the
+# reduction, which makes a call per entry, while the row step runs in C
+_SLACK_BITS = 256
+
+
 def _boustrophedon(nmax: int, mod: int | None = None):
     """Yield E_1..E_nmax, keeping one row of the zigzag triangle;
     optionally reduced mod q."""
-    row = [1 if mod is None else 1 % mod]
+    row = [1]
     for _ in range(nmax):
-        new = [0]
-        for x in reversed(row):
-            s = new[-1] + x
-            new.append(s if mod is None else s % mod)
-        row = new
-        yield row[-1]
+        row = list(accumulate(reversed(row), initial=0))
+        if mod is not None and row[-1] >> _SLACK_BITS >= mod:
+            row = list(map(mod.__rmod__, row))
+        yield row[-1] if mod is None else row[-1] % mod
 
 
 def euler_numbers(nmax: int) -> list[int]:
@@ -61,6 +70,8 @@ def check_congruence(n: int, q: int) -> bool:
 def congruence_failures(max_n: int, q: int) -> list[int]:
     """The n in q+1..max_n where the congruence fails mod q, from one
     table of E_1..E_max_n mod q (none is built when max_n <= q)."""
+    if q < 2:
+        raise ValueError("need modulus >= 2")
     if max_n <= q:
         return []
     em = euler_numbers_mod(max_n, q)
@@ -86,10 +97,14 @@ def primes_never_dividing(bound: int) -> list[int]:
     what correctly rejects q = 2 (E_3 = 2). One pass over E_1, E_2, ...
     keeps the zigzag row modulo the product of the primes still under
     test, those not yet dropped with 3q >= n; each residue mod q is exact
-    because q divides that modulus. When a prime leaves the test the row
-    is reduced modulo the smaller product, and the pass ends once no
-    prime is left. Entries stay below the modulus, so a sum of two is
-    reduced by one conditional subtraction.
+    because q divides that modulus. The modulus is squarefree, so
+    gcd(E_n, modulus) is the product of the primes under test that
+    divide E_n, and they leave the test. At n = 3q a prime q still
+    under test passes and leaves; it is the smallest under test, as each
+    smaller prime has left by its own window. The row is reduced
+    whenever the modulus shrinks, and otherwise only once its last entry
+    is ``_SLACK_BITS`` bits past the modulus; the pass ends once no
+    prime is left.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -97,19 +112,16 @@ def primes_never_dividing(bound: int) -> list[int]:
         raise ResourceLimit("documented practical bound is 10^4")
     testing, passed = _primes_upto(bound), []
     mod, row, n = math.prod(testing), [1], 0
-    while mod > 1:
+    while testing:
         n += 1
-        new, e = [0], 0
-        for x in reversed(row):
-            e += x
-            if e >= mod:
-                e -= mod
-            new.append(e)
-        row = new
-        left = [q for q in testing if 3 * q > n and e % q]
-        passed += [q for q in testing if 3 * q == n and e % q]
-        if len(left) < len(testing):
-            mod //= math.prod(set(testing).difference(left))
-            row = [x % mod for x in row]
-            testing = left
+        row = list(accumulate(reversed(row), initial=0))
+        drop = math.gcd(row[-1], mod)
+        if 3 * testing[0] == n and drop % testing[0]:
+            passed.append(testing[0])
+            drop *= testing[0]
+        if drop > 1:
+            mod //= drop
+            testing = [q for q in testing if drop % q]
+        if drop > 1 or row[-1] >> _SLACK_BITS >= mod:
+            row = list(map(mod.__rmod__, row))
     return passed

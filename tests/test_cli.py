@@ -358,6 +358,16 @@ def test_euler_congruence_two_fails(capsys):
     assert "failures" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [("--q", "1", "--max-n", "1"), ("--q", "0", "--max-n", "0", "--json")]
+)
+def test_euler_congruence_needs_a_modulus(capsys, argv):
+    code, out, err = run(capsys, "euler", "--congruence", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need modulus >= 2\n"
+
+
 def test_exit_code_malformed(capsys, tmp_path):
     bad = tmp_path / "bad.poset"
     bad.write_text("e 0 1\n")
@@ -539,20 +549,47 @@ def test_option_inventory():
         ],
         "verify-all": ["--json"],
     }
-    parser = build_parser()
-    [commands] = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+
+    def options(parser):
+        [commands] = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return {
+            name: sorted(
+                s
+                for action in sub._actions
+                for s in action.option_strings
+                if s not in ("-h", "--help")
+            )
+            for name, sub in commands.choices.items()
+        }
+
+    assert options(build_parser()) == want
+    # a query's parser holds its own subcommand alone, with the same flags
+    # and the full usage line, which its errors print
+    usage = build_parser().format_usage()
+    for name in want:
+        assert options(build_parser(name)) == {name: want[name]}
+        assert build_parser(name).format_usage() == usage
+    assert options(build_parser("mystery")) == want
+
+
+def test_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = (
+        "count si domino lift decompose h2sb f bounds spectrum ruskey euler "
+        "verify-all"
+    ).split()
+    assert "{" + ",".join(names) + "}" in "".join(out.split())
+    # one line per subcommand, indented by four spaces, with its help
+    listed = [
+        line.split()[0] for line in out.splitlines()
+        if line.startswith("    ") and line[4] != " "
     ]
-    got = {
-        name: sorted(
-            s
-            for action in sub._actions
-            for s in action.option_strings
-            if s not in ("-h", "--help")
-        )
-        for name, sub in commands.choices.items()
-    }
-    assert got == want
+    assert listed == names
 
 
 def test_caps_only_on_count_and_si(capsys):

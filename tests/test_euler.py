@@ -87,6 +87,9 @@ def test_tables_need_a_term_and_a_modulus():
     for nmax, q in ((0, 3), (-1, 5), (3, 1), (3, 0)):
         with pytest.raises(ValueError, match="nmax >= 1 and modulus >= 2"):
             euler_numbers_mod(nmax, q)
+    for max_n, q in ((1, 1), (0, 0), (5, 1), (-1, 0)):
+        with pytest.raises(ValueError, match="modulus >= 2"):
+            congruence_failures(max_n, q)
 
 
 def test_congruence_domain():
@@ -113,10 +116,15 @@ def test_never_dividing_tiny_bounds():
 
 
 def test_never_dividing_matches_per_prime_tables():
-    # reference: one modular table of length 3q per prime q
+    # reference: one modular table of length 3q per prime q. Each bound
+    # q adds q to the modulus of the bound q - 1 (which tests the same
+    # primes as the prime before q, or none), and so shifts the rows where
+    # the modulus shrinks and the row is reduced
     primes = [q for q in range(2, 201) if all(q % d for d in range(2, q))]
     want = [q for q in primes if 0 not in euler_numbers_mod(3 * q, q)]
     assert primes_never_dividing(200) == want
+    for bound in [1] + primes:
+        assert primes_never_dividing(bound) == [q for q in want if q <= bound]
 
 
 def test_known_divisible_primes_excluded():
