@@ -17,7 +17,7 @@ from . import domino, h2, linext, ruskey
 from .canon import is_isomorphic
 from .errors import PosetsiError
 from .euler import congruence_failures, euler_numbers, primes_never_dividing
-from .generate import _counted, enumerate_posets
+from .generate import _classes, enumerate_posets
 from .linext import (
     count_extensions,
     enumerate_extensions,
@@ -144,7 +144,7 @@ def criterion_5() -> CriterionResult:
     checked = 0
     bad = 0
     for n in range(5):
-        for p, e in _counted(n, False):
+        for p, e in _classes(n, False):
             for rel in h2.enumerate_good_sets(p):
                 lifted = h2.build_lift(p, rel)
                 checked += 1
@@ -220,7 +220,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     bad = []
     total = 0
-    for _, e in _counted(5, True):
+    for _, e in _classes(5, True):
         if e % 2 == 1:
             total += 1
             if e % 5 != 0:
@@ -335,7 +335,7 @@ def _c12_worker(p: Poset, e: int) -> bool:
 
 
 def criterion_12() -> CriterionResult:
-    classes = [c for n in range(8) for c in _counted(n, False)]
+    classes = [c for n in range(8) for c in _classes(n, False)]
     bad = sum(not _c12_worker(p, e) for p, e in classes)
     return CriterionResult(
         12,

@@ -5,7 +5,7 @@ all element orderings compatible with an iteratively refined vertex
 partition. Refinement stops once every color is held by one element. A
 poset keeps its colors in ``_colors`` beside its form in ``_canon``, so
 it is refined at most once: the census reads the same colors for its
-deletion ties, for the form and for its buckets. Twin pruning, on
+deletion ties and for the form. Twin pruning, on
 ``poset._twins``, keeps the search small for the n <= 12 regime this
 toolkit targets; an explicit stack lets it go deeper. Two posets are
 isomorphic exactly when their forms are equal.

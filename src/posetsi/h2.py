@@ -9,7 +9,7 @@ the lift's forced (bottom, top) pairs in one pass over its Hasse diagram.
 Only the census functions (``count_f``, ``count_f_q``, ``odd_e_bounds``
 and ``spectrum``) import ``generate`` and ``canon``, when they run, so
 the lift, its inverse and the decider load neither. They read e from
-the census values of ``generate._counted``, each class's from its
+the census values of ``generate._classes``, each class's from its
 parent's tables. ``count_f_q`` and ``spectrum`` read the height-2
 census; ``count_f`` reads the full census on half the elements for its
 formula route and the height-2 census for its direct route;
@@ -169,18 +169,26 @@ def count_f(n_total: int) -> dict:
 
     Formula route: sum 2**(re-cr) over odd-e classes on half the elements.
     Direct route: count the height-<=2 classes with odd e. Both read e
-    from the census values of ``generate._counted``.
+    from the census values of ``generate._classes``.
+
+    The formula counts good sets, one lift each. Two lifts of a base B
+    are isomorphic exactly when an automorphism of B maps the one good
+    set onto the other, so the formula counts classes only while every
+    odd-e base has the trivial automorphism group. It does on this range
+    (half of 11 elements rounds down to 5): every odd-e class up to 8
+    elements has a discrete refined colouring. At 9 elements one odd-e
+    class has three automorphisms.
     """
-    from .generate import _counted
+    from .generate import _classes
 
     if n_total < 0 or n_total > 11:
         raise ValueError("supported range is 0..11")
     formula = 0
-    for p, e in _counted(n_total // 2, False):
+    for p, e in _classes(n_total // 2, False):
         if e % 2:
             s = stats(p)
             formula += 1 << (s.re - s.cr)
-    direct = sum(e % 2 for _, e in _counted(n_total, True))
+    direct = sum(e % 2 for _, e in _classes(n_total, True))
     if formula != direct:
         raise VerificationError(
             f"odd-count mismatch on {n_total} elements: "
@@ -192,13 +200,13 @@ def count_f(n_total: int) -> dict:
 def count_f_q(m: int, q: int) -> int:
     """Height-<=2 classes on m elements whose e is not divisible by q,
     with e from the census values."""
-    from .generate import _counted
+    from .generate import _classes
 
     if m < 0 or m > 8:
         raise ValueError("supported range is 0..8")
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    return sum(1 for _, e in _counted(m, True) if e % q)
+    return sum(1 for _, e in _classes(m, True) if e % q)
 
 
 def odd_e_bounds(n: int) -> dict:
@@ -215,14 +223,14 @@ def odd_e_bounds(n: int) -> dict:
     Classes are the distinct canonical forms among the lifts.
     """
     from .canon import canonical_form, is_isomorphic
-    from .generate import _counted
+    from .generate import _classes
 
     if n < 0 or 2 * n > 12:
         raise ValueError("supported range is 2n <= 12")
     lower = math.factorial(n) ** 2
     upper = math.factorial(n) * math.prod(range(1, 2 * n, 2))
     classes: dict[bytes, int] = {}
-    for base, e_base in _counted(n, False):
+    for base, e_base in _classes(n, False):
         if e_base % 2 == 0:
             continue
         for rel in enumerate_good_sets(base):
@@ -256,13 +264,13 @@ def spectrum(max_vertices: int) -> dict:
     """Achievable e values over height-<=2 classes with at most
     max_vertices elements, with one witness poset per value, e read from
     the census values."""
-    from .generate import _counted
+    from .generate import _classes
 
     if max_vertices < 0 or max_vertices > 8:
         raise ValueError("supported range is 0..8")
     witnesses: dict[int, Poset] = {}
     for size in range(max_vertices + 1):
-        for p, e in _counted(size, True):
+        for p, e in _classes(size, True):
             if e not in witnesses:
                 witnesses[e] = p
     values = sorted(witnesses)

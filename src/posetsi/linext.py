@@ -14,7 +14,7 @@ against the others:
   and the list of down-sets that poset generation attaches new
   elements over. ``_through`` adds one backward pass over its layers,
   giving the extensions that pass through each down-set, from which
-  the census sums e of every child of a parent (``generate._counted``).
+  the census sums e of every child of a parent (``generate._classes``).
 - The forest route, ``forest_count``, takes O(n^2) big-integer steps
   when the Hasse diagram is a forest (fences, chains, antichains, trees)
   and declines every other poset. The public counts and every
@@ -411,6 +411,8 @@ def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> Iterator[tuple[int, .
     its label array without a frame of its own."""
     n = p.n
     if not n:
+        if cap < 1:
+            raise ResourceLimit(f"extension count exceeded cap {cap}")
         return iter([()])
     covers = _upper_covers(p)
     full = (1 << n) - 1

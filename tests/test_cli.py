@@ -528,6 +528,13 @@ def test_ruskey_graph_cap(capsys):
     assert "--graph-cap" in err
 
 
+@pytest.mark.parametrize("family", ["chain:0", "chain:1"])
+def test_ruskey_graph_cap_zero_refuses_the_one_extension(capsys, family):
+    code, _, err = run(capsys, "ruskey", family, "--graph-cap", "0")
+    assert code == 3
+    assert "transposition graph exceeded its cap of 0 vertices" in err
+
+
 def test_option_inventory():
     # every flag of every subcommand; a new flag belongs in this table
     want = {

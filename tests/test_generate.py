@@ -1,6 +1,7 @@
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -155,7 +156,7 @@ def reference_forms(nmax, height2):
 def test_pruned_generation_matches_unpruned_reference(height2, nmax):
     want = reference_forms(nmax, height2)
     for n in range(nmax + 1):
-        got = [canonical_form(p) for p in generate._classes(n, height2)]
+        got = [canonical_form(p) for p, _ in generate._classes(n, height2)]
         assert len(got) == len(set(got))
         assert set(got) == want[n]
 
@@ -203,7 +204,7 @@ def test_pruned_step_is_sound_under_relabelling():
                 perm = list(range(p.n))
                 rng.shuffle(perm)
                 q = p.relabel(perm)
-                got = {canonical_form(c) for c, _ in generate._children(q, height2)}
+                got = {canonical_form(c) for c, *_ in generate._children(q, height2)}
                 assert got == want
 
 
@@ -214,7 +215,7 @@ def seen_set_classes(nmax, height2):
     for _ in range(nmax):
         seen, level = set(), []
         for rep in levels[-1]:
-            for child, _ in generate._children(rep, height2):
+            for child, *_ in generate._children(rep, height2):
                 form = canonical_form(child)
                 if form not in seen:
                     seen.add(form)
@@ -228,7 +229,7 @@ def test_buckets_keep_what_a_seen_set_keeps(height2, nmax):
     want = seen_set_classes(nmax, height2)
     for n in range(nmax + 1):
         got = generate._classes(n, height2)
-        assert [p.up for p in got] == [p.up for p in want[n]]
+        assert [p.up for p, _ in got] == [p.up for p in want[n]]
 
 
 CROWN3 = from_covers(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
@@ -258,14 +259,19 @@ def tied(child):
 )
 def test_bucket_collisions_keep_one_child_per_class(parent, height2):
     # a reflection, a rotation or a swap of components is an automorphism
-    # that permutes no twins, so isomorphic alone children share a bucket
+    # that permutes no twins, so isomorphic alone children share a bucket:
+    # e of the child and the sorted |down y| of the parent over its down-set
     buckets = {}
-    for child, alone in generate._children(parent, height2):
+    for child, alone, _ in generate._children(parent, height2):
         assert alone != tied(child)
-        bucket = generate._bucket(parent, child.down[-1]) if alone else None
+        bucket = None
+        if alone:
+            below = [y for y in range(parent.n) if child.down[-1] >> y & 1]
+            sizes = sorted(parent.down[y].bit_count() for y in below)
+            bucket = (count_extensions(child), *sizes)
         buckets.setdefault(bucket, []).append(canonical_form(child))
     assert any(len(set(f)) < len(f) for b, f in buckets.items() if b is not None)
-    kept = [canonical_form(c) for c in generate._kept(parent, height2, set())]
+    kept = [canonical_form(c) for c, _ in generate._kept(parent, height2, set())]
     assert len(kept) == len(set(kept))
     assert set(kept) == {f for forms in buckets.values() for f in forms}
 
@@ -277,7 +283,7 @@ def test_a_child_tied_only_with_twins_is_alone(parent, height2):
     # element with the new element's key is a twin of it
     twinned = [
         alone
-        for child, alone in generate._children(parent, height2)
+        for child, alone, _ in generate._children(parent, height2)
         if any(not child.up[x] and child.down[x] == child.down[-1] for x in range(parent.n))
     ]
     assert twinned and all(twinned)
@@ -297,7 +303,8 @@ def test_add_maximal_rows_match_the_constructor():
 def test_census_computes_few_canonical_forms(monkeypatch, own_class_cache):
     # counts the forms computed, not those read back from ``_canon``; while
     # a child tied with its twins was tied, the census computed 668 and 800,
-    # and while colours did not break ties of the key, 467 and 422
+    # while colours did not break ties of the key, 467 and 422, and while
+    # alone siblings were bucketed by their parent's colours, 249 and 349
     fresh = []
     form = generate.canonical_form
 
@@ -311,12 +318,13 @@ def test_census_computes_few_canonical_forms(monkeypatch, own_class_cache):
         fresh.clear()
         own_class_cache(n, height2)
         counts.append(sum(fresh))
-    assert counts == [249, 349]
+    assert counts == [245, 349]
 
 
 def test_census_refines_each_poset_once(monkeypatch, own_class_cache):
-    # a child's colours break its key's ties, give its form and, once it
-    # is a parent, its buckets: one refinement serves all three
+    # a child's colours break its key's ties and give its form: one
+    # refinement serves both; while parents were refined for their
+    # buckets, the census refined 569 and 787 posets
     refined = []
     refine = canon._refined_colors
 
@@ -327,46 +335,53 @@ def test_census_refines_each_poset_once(monkeypatch, own_class_cache):
 
     monkeypatch.setattr(canon, "_refined_colors", recording)
     monkeypatch.setattr(generate, "_refined_colors", recording)
+    counts = []
     for n, height2 in ((8, True), (7, False)):
         refined.clear()
         own_class_cache(n, height2)
-        assert refined and len({id(p) for p in refined}) == len(refined)
+        assert len({id(p) for p in refined}) == len(refined)
+        counts.append(len(refined))
+    assert counts == [466, 423]
 
 
 @pytest.mark.parametrize("height2, nmax", [(False, 5), (True, 6)])
-def test_parent_is_refined_only_for_two_alone_children(height2, nmax):
-    # no bucket compares a single alone child, so its parent's colours
-    # are not needed; a fresh copy of each class carries none
-    single = 0
+def test_kept_never_refines_its_parent(height2, nmax):
+    # buckets are keyed by e and down-set sizes, not by the parent's
+    # colours; a fresh copy of each class carries none
     for n in range(nmax + 1):
         for p in enumerate_posets(n, max_height=2 if height2 else None):
             parent = Poset(p.n, p.up)
-            alone = sum(a for _, a in generate._children(parent, height2))
+            assert list(generate._kept(parent, height2, set()))
             assert parent._colors is None
-            list(generate._kept(parent, height2, set()))
-            assert (parent._colors is not None) == (alone > 1)
-            single += alone == 1
-    assert single
+
+
+# labelled posets on n elements (OEIS A001035), and those of height at
+# most 2 (OEIS A001831)
+LABELLED = {False: (1, 1, 3, 19, 219, 4231), True: (1, 1, 3, 13, 87, 841, 11643)}
 
 
 @pytest.mark.parametrize("height2, nmax", [(False, 5), (True, 6)])
 def test_automorphism_count_divides_e(height2, nmax):
     # Aut(P) acts freely on linear extensions: an automorphism that fixes
-    # one extension fixes every element
+    # one extension fixes every element. A class has n!/|Aut(P)| labelled
+    # copies, and these sum to the number of labelled posets
     for n in range(nmax + 1):
-        for p, e in generate._counted(n, height2):
+        labelled = 0
+        for p, e in generate._classes(n, height2):
             rel = set(p.relations())
             aut = sum(
                 all((perm[a], perm[b]) in rel for a, b in rel)
                 for perm in permutations(range(n))
             )
             assert e % aut == 0
+            labelled += factorial(n) // aut
+        assert labelled == LABELLED[height2][n]
 
 
 @pytest.mark.parametrize("height2, nmax", [(False, 7), (True, 9)])
 def test_census_values_are_the_walk(height2, nmax):
     for n in range(nmax + 1):
-        counted = list(generate._counted(n, height2))
+        counted = list(generate._classes(n, height2))
         assert [p for p, _ in counted] == list(
             enumerate_posets(n, max_height=2 if height2 else None)
         )

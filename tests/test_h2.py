@@ -376,6 +376,18 @@ def test_odd_e_bounds_checks_the_returned_lift(monkeypatch):
         odd_e_bounds(3)
 
 
+def test_count_f_bases_have_discrete_colourings():
+    # the formula route counts good sets, which are classes only while no
+    # odd-e base on at most 11 // 2 elements has a nontrivial automorphism
+    from posetsi.canon import _refined_colors
+    from posetsi.generate import _classes
+
+    for m in range(6):
+        for base, e in _classes(m, False):
+            if e % 2:
+                assert sorted(_refined_colors(base)) == list(range(m))
+
+
 def test_count_f_raises_when_its_routes_disagree(monkeypatch):
     from posetsi import h2
 
@@ -413,12 +425,12 @@ def test_odd_e_bounds_counts_isomorphic_lifts_once(monkeypatch):
 def test_odd_e_lifts_are_the_odd_e_census(n):
     # the lift theorem at 2n <= 8: the lifts of the odd-e bases are the
     # odd-e height-2 classes, read from the census on 2n elements
-    from posetsi.generate import _counted
+    from posetsi.generate import _classes
 
-    census = {canonical_form(p): e for p, e in _counted(2 * n, True) if e % 2}
+    census = {canonical_form(p): e for p, e in _classes(2 * n, True) if e % 2}
     lifts = {
         canonical_form(build_lift(b, r))
-        for b, e in _counted(n, False)
+        for b, e in _classes(n, False)
         if e % 2
         for r in enumerate_good_sets(b)
     }

@@ -107,6 +107,11 @@ def test_enumeration_cap():
     assert linext._enumerated_signed(antichain(3), cap=6) == (6, 0)
     with pytest.raises(ResourceLimit, match="extension count exceeded cap 5"):
         linext._enumerated_signed(antichain(3), cap=5)
+    # the empty order has one extension, which a cap of 0 refuses
+    assert list(enumerate_extensions(chain(0), cap=1)) == [()]
+    for route in (enumerate_extensions, linext._enumerated_signed):
+        with pytest.raises(ResourceLimit, match="extension count exceeded cap 0"):
+            route(chain(0), cap=0)
 
 
 def test_brute_route_matches_the_walk_on_every_class():
