@@ -281,6 +281,8 @@ def _cmd_ruskey(args) -> int:
 def _cmd_euler(args) -> int:
     from .euler import congruence_failures, euler_numbers, primes_never_dividing
 
+    if args.primes and args.congruence:
+        raise ValueError("--primes and --congruence are exclusive")
     if args.primes:
         out = primes_never_dividing(args.bound)
         print(json.dumps(out))

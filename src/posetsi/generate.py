@@ -29,25 +29,6 @@ it to prefixes is an automorphism of the parent, so it keeps every key
 and passes both rules. A height-2 class loses only height by the
 deletion, so the same holds for the height-2 lists.
 
-A third rule decides which children need a canonical form. Let S(C) be
-the maximal elements of a child C with the largest key. Call C alone
-when S(C) is its new element x and the twins of x, the old maximal
-elements whose down-set is D, and tied otherwise. An alone child can
-repeat only an alone sibling from the same parent P whose down-set D'
-lies in the Aut(P)-orbit of its own down-set D:
-
-1. Keys are invariant, so S(C) is, and being alone, that S(C) is one
-   twin class, is an isomorphism invariant. An isomorphism from C to
-   an alone child C' sends x into S(C'), the twin class of x', and
-   following it by the transposition of that image with x', an
-   automorphism of C', gives an isomorphism that sends x to x'.
-2. Deleting x and x' gives isomorphic parents. The listed parents are
-   pairwise non-isomorphic, so both children have the same parent P,
-   and the isomorphism restricts to an automorphism of P that maps D
-   onto D'.
-3. An alone child and a tied child are never isomorphic, since S is
-   one twin class in the one and not in the other.
-
 The census carries e, each child's from its parent P's tables rather
 than from a walk of its own (De Loof, De Meyer and De Baets,
 Fundamenta Informaticae 2006). In every extension of a child, the new
@@ -57,16 +38,19 @@ ways to build I and g(I) the ways to finish P from I, both from
 ``linext._through``: the walk's layers and one backward pass. Its keys
 are P's down-sets, the choices of D (for the height-2 lists, those
 within P's minimal elements), so each parent's lattice is walked once.
-The alone siblings are put into buckets keyed by e of the child
-and the sorted |down y| over y in D. An automorphism of P that maps D
-onto D' gives isomorphic children, so equal e, and keeps every |down y|,
-so by rule 2 isomorphic alone siblings share a bucket. A canonical form
-is computed only when a bucket already holds a child, and the first
-child of each class is kept. Tied children keep a seen-set of canonical
-forms per level. The kept representatives and their order are those a
-seen-set over every child would keep, and the class counts are checked
-against known tables. The classes are cached per size with their e, for
-all classes and for those of height at most 2, for reuse across sweeps.
+
+Every child of a level goes into one bucket, keyed by its e and the
+multiset of (|down v|, |up v|) over its elements. Both are isomorphism
+invariants, so isomorphic children share a bucket. A canonical form is
+computed only when a bucket already holds a child, and the first child
+of each class is kept, as a seen-set of forms over every child would
+keep it. The key is built per child from its parent's multiset in
+O(|D|): the new element adds (|D|, 0), and each y in D moves from
+(d, u) to (d, u + 1). The dict is keyed by the hash of (e, multiset),
+so two keys with one hash share a bucket, which costs a form and loses
+no class. The class counts are checked against known tables. The
+classes are cached per size with their e, for all classes and for
+those of height at most 2, for reuse across sweeps.
 """
 
 from functools import lru_cache
@@ -95,10 +79,10 @@ def _key(p: Poset, below: int) -> tuple:
     )
 
 
-def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, bool, int]]:
+def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, int]]:
     """Children of ``rep`` that pass the twin-orbit and canonical-deletion
-    rules, each with whether it is alone and its e. Every class on
-    rep.n + 1 elements is among the children of its listed parent."""
+    rules, each with its e. Every class on rep.n + 1 elements is among
+    the children of its listed parent."""
     through = _through(rep)
     if height2:
         # new maximal element over minimal elements only keeps height <= 2
@@ -130,28 +114,37 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, bool, int]]:
             colored = _refined_colors(child)
             if any(colored[x] > colored[-1] for x in ties):
                 continue
-        e = sum(w for i, w in through.items() if i & down_mask == down_mask)
-        yield child, not ties or all(colored[x] < colored[-1] for x in ties), e
+        yield child, sum(w for i, w in through.items() if i & down_mask == down_mask)
 
 
-def _kept(rep: Poset, height2: bool, seen: set[bytes]) -> Iterator[tuple[Poset, int]]:
-    """The children of ``rep`` that are the first of their class, each with
-    its e: an alone child is compared only with the kept children of its
-    bucket, a tied one with the forms in ``seen``, the level's tied
-    classes so far."""
-    buckets: dict[tuple, list[Poset]] = {}
-    for cand, alone, e in _children(rep, height2):
-        if not alone:
-            key = canonical_form(cand)
-            if key in seen:
+def _slot(d: int, u: int) -> int:
+    """1 in the byte of the pair (d, u) of a multiset key; a count past
+    255 carries, and the key stays a function of the multiset."""
+    s = d + u
+    return 1 << 8 * (s * (s + 1) // 2 + u)
+
+
+def _kept(rep: Poset, height2: bool, level: dict) -> Iterator[tuple[Poset, int]]:
+    """The children of ``rep`` that are the first of their class in
+    ``level``, each with its e. ``level`` maps the hash of a child's e and
+    (|down v|, |up v|) multiset, both invariant, to the first child with
+    that hash, or, once two classes share it, to their forms: a shared
+    hash costs a form and loses no class."""
+    rows = [(d.bit_count(), u.bit_count()) for d, u in zip(rep.down, rep.up)]
+    shape = sum(_slot(d, u) for d, u in rows)
+    moved = [_slot(d, u + 1) - _slot(d, u) for d, u in rows]
+    for cand, e in _children(rep, height2):
+        below = cand.down[-1]
+        key = shape + _slot(below.bit_count(), 0) + sum(moved[y] for y in iter_bits(below))
+        bucket = hash((e, key))
+        first = level.setdefault(bucket, cand)
+        if first is not cand:
+            form = canonical_form(cand)
+            forms = first if isinstance(first, set) else {canonical_form(first)}
+            if form in forms:
                 continue
-            seen.add(key)
-        else:
-            sizes = sorted(rep.down[y].bit_count() for y in iter_bits(cand.down[-1]))
-            kept = buckets.setdefault((e, *sizes), [])
-            if kept and canonical_form(cand) in map(canonical_form, kept):
-                continue
-            kept.append(cand)
+            forms.add(form)
+            level[bucket] = forms
         yield cand, e
 
 
@@ -161,8 +154,8 @@ def _classes(n: int, height2: bool) -> tuple[tuple[Poset, int], ...]:
     most 2, each with its e."""
     if n == 0:
         return ((Poset(0, ()), 1),)
-    seen: set[bytes] = set()
-    out = [c for rep, _ in _classes(n - 1, height2) for c in _kept(rep, height2, seen)]
+    level: dict[int, Poset | set[bytes]] = {}
+    out = [c for rep, _ in _classes(n - 1, height2) for c in _kept(rep, height2, level)]
     table = H2_CLASS_COUNTS if height2 else CLASS_COUNTS
     if n < len(table) and len(out) != table[n]:
         kind = "height-2 classes" if height2 else "classes"
@@ -178,7 +171,7 @@ def enumerate_posets(n: int, max_height: int | None = None) -> Iterator[Poset]:
     ``max_height`` keeps the classes of at most that height: a bound of 2
     or less prunes generation to height 2, and any bound other than 2 is
     also a post-filter. The full census at n = 9, the last entry of
-    ``CLASS_COUNTS``, takes about 5.5 s of CPU with e of every class on
+    ``CLASS_COUNTS``, takes about 4.6 s of CPU with e of every class on
     a 2-CPU x86 host.
     """
     if n < 0:

@@ -79,7 +79,10 @@ def enumerate_good_sets(p: Poset) -> Iterator[GoodSet]:
 
 
 def build_lift(p: Poset, rel: GoodSet) -> Poset:
-    """Two-level poset with bottoms below tops along rel; height <= 2."""
+    """Two-level poset with bottoms below tops along rel; height <= 2.
+    The lift lemma with its sign: under these labels the signed sum of
+    lift(P, R) is (-1)^{n(n-1)/2}·e(P) for every good set R of an
+    n-element P, whatever P's labels, which move bottoms and tops alike."""
     _validate_good(p, rel)
     n = p.n
     up = [0] * (2 * n)

@@ -368,6 +368,14 @@ def test_euler_congruence_needs_a_modulus(capsys, argv):
     assert err == "error: need modulus >= 2\n"
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_euler_primes_and_congruence_are_exclusive(capsys, json_flag):
+    code, out, err = run(capsys, "euler", "--primes", "--congruence", *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --primes and --congruence are exclusive\n"
+
+
 def test_exit_code_malformed(capsys, tmp_path):
     bad = tmp_path / "bad.poset"
     bad.write_text("e 0 1\n")

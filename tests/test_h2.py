@@ -29,7 +29,7 @@ from posetsi import (
     stats,
     zigzag,
 )
-from posetsi import domino, h2
+from posetsi import domino, h2, plan
 
 
 def test_good_set_counts():
@@ -115,6 +115,20 @@ def test_main_identity_small():
             e = count_extensions(p)
             for rel in enumerate_good_sets(p):
                 assert signed_count(build_lift(p, rel)).imbalance == e
+
+
+def test_lift_lemma_with_its_sign():
+    # every good set of every class with at most 5 elements: 404 lifts
+    pairs = 0
+    for n in range(6):
+        for p in enumerate_posets(n):
+            want = (-1) ** (n * (n - 1) // 2) * count_extensions(p)
+            for rel in enumerate_good_sets(p):
+                lifted = build_lift(p, rel)
+                assert signed_count(lifted).signed == want
+                assert plan.signed(lifted)[0] == want
+                pairs += 1
+    assert pairs == 404
 
 
 def test_lift_injective_up_to_pair_isomorphism():

@@ -1,6 +1,7 @@
 import random
 import re
 from itertools import permutations, product
+from math import factorial, prod
 import tracemalloc
 
 import pytest
@@ -374,6 +375,30 @@ def test_forest_route_matches_the_walk_on_every_forest_class():
             for q in (p, p.relabel(rng.sample(range(n), n)), p.relabel(rng.sample(range(n), n))):
                 assert forest_count(q) == signed_count(q)
     assert forests == 2924
+
+
+def test_forest_route_matches_the_hook_formulas():
+    # a rooted forest, roots on top, and its dual share their hooks h_x,
+    # the size of x's subtree. Knuth: e = n!/prod h_x. Bjorner and Wachs
+    # at q = -1: si = (n//2)!/prod_{h_x even} h_x/2 when exactly n//2
+    # hooks are even, else 0
+    rng = random.Random(13)
+    for _ in range(1000):
+        n = rng.randint(0, 11)
+        parent = [rng.randrange(-1, x) for x in range(n)]
+        hook = [1] * n
+        for x in reversed(range(n)):
+            if parent[x] >= 0:
+                hook[parent[x]] += hook[x]
+        halves = [h // 2 for h in hook if h % 2 == 0]
+        e = factorial(n) // prod(hook)
+        si = factorial(n // 2) // prod(halves) if len(halves) == n // 2 else 0
+        perm = rng.sample(range(n), n)
+        below = [(perm[x], perm[parent[x]]) for x in range(n) if parent[x] >= 0]
+        for p in (from_covers(n, below), from_covers(n, [(b, a) for a, b in below])):
+            fc = forest_count(p)
+            assert (fc.total, fc.imbalance) == (e, si)
+            assert signed_count(p) == fc
 
 
 def test_forest_route_counts_fences_by_the_euler_table():
