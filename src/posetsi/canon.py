@@ -11,7 +11,7 @@ toolkit targets; an explicit stack lets it go deeper. Two posets are
 isomorphic exactly when their forms are equal.
 """
 
-from .poset import Poset, _twins
+from .poset import Poset, _twins, iter_bits
 
 __all__ = ["canonical_form", "is_isomorphic"]
 
@@ -30,7 +30,7 @@ def _refined_colors(p: Poset) -> list[int]:
     ])
     last, classes = 0, len(set(colors))
     if classes < n:
-        rows = list(zip(map(_bits, p.up), map(_bits, p.down), map(_bits, p.cover_up)))
+        rows = list(zip(*[map(iter_bits, m) for m in (p.up, p.down, p.cover_up)]))
     while last < classes < n:
         size = [0] * n
         for c in colors:
@@ -48,15 +48,6 @@ def _refined_colors(p: Poset) -> list[int]:
         last, classes = classes, len(set(colors))
     p._colors = colors
     return colors
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _rank(signatures: list) -> list[int]:

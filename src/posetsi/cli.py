@@ -18,10 +18,18 @@ imports the rest it needs (``plan``, ``domino``, ``h2``, ``ruskey``,
 ``euler``, ``acceptance``) when it runs. So ``count`` loads no
 ``domino``, ``h2``, ``canon`` or ``generate``, and only the census
 subcommands load the last two. The ``ruskey`` caps read their defaults
-from ``ruskey.GRAPH_CAP`` and ``ruskey.HAMPATH_CAP`` in the handler.
-Likewise a query builds only its own subcommand's parser, from the
-table ``_COMMANDS``; ``-h``, no arguments or an unknown command build
-them all, so help and error texts stay those of the full parser.
+from ``ruskey.GRAPH_CAP`` and ``ruskey.HAMPATH_CAP`` in the handler, and
+``--path-cap`` needs ``--hampath``. Likewise a query builds only its own
+subcommand's parser, from the table ``_COMMANDS``; ``-h``, no arguments
+or an unknown command build them all, so help and error texts stay
+those of the full parser.
+
+``euler`` has three modes, and each reads its own flags: the table reads
+``--max-n`` (30 by default), ``--primes`` reads ``--bound`` (600 by
+default), and ``--congruence`` reads ``--max-n`` and ``--q``. The
+congruence mod q is stated for n > q, so it needs every modulus below
+``--max-n``. A flag that the chosen mode does not read exits 2 and names
+the flag.
 """
 
 import argparse
@@ -171,10 +179,10 @@ def _cmd_decompose(args) -> int:
     payload: dict = {"kind": dec.kind}
     lines = [f"kind: {dec.kind}"]
     if dec.base is not None:
-        payload["base"] = write_poset(dec.base)
+        payload["base"] = base = write_poset(dec.base)
         payload["rel"] = sorted(map(list, dec.rel))
         lines.append("base poset:")
-        lines += ["  " + ln for ln in write_poset(dec.base).splitlines()]
+        lines += ["  " + ln for ln in base.splitlines()]
         lines.append(
             "rel: " + " ".join(f"({a},{b})" for a, b in sorted(dec.rel))
         )
@@ -255,6 +263,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_ruskey(args) -> int:
     from . import ruskey
 
+    if args.path_cap is not None and not args.hampath:
+        raise ValueError("--path-cap needs --hampath")
     p = _load_poset(args.poset)
     graph_cap = ruskey.GRAPH_CAP if args.graph_cap is None else args.graph_cap
     path_cap = ruskey.HAMPATH_CAP if args.path_cap is None else args.path_cap
@@ -283,15 +293,24 @@ def _cmd_euler(args) -> int:
 
     if args.primes and args.congruence:
         raise ValueError("--primes and --congruence are exclusive")
+    if args.q is not None and not args.congruence:
+        raise ValueError("--q needs --congruence")
+    if args.bound is not None and not args.primes:
+        raise ValueError("--bound needs --primes")
+    if args.max_n is not None and args.primes:
+        raise ValueError("--primes and --max-n are exclusive")
     if args.primes:
-        out = primes_never_dividing(args.bound)
+        out = primes_never_dividing(600 if args.bound is None else args.bound)
         print(json.dumps(out))
         return 0
+    max_n = 30 if args.max_n is None else args.max_n
     if args.congruence:
         qs = args.q or [3, 5, 7, 11]
-        failures = [(n, q) for q in qs for n in congruence_failures(args.max_n, q)]
+        failures = [(n, q) for q in qs for n in congruence_failures(max_n, q)]
+        if max(qs) >= max_n:
+            raise ValueError(f"--max-n {max_n} leaves no n > q = {max(qs)} to check")
         payload = {
-            "max_n": args.max_n,
+            "max_n": max_n,
             "q": qs,
             "failures": [list(f) for f in failures],
         }
@@ -299,13 +318,13 @@ def _cmd_euler(args) -> int:
             args,
             payload,
             [
-                f"congruence checked for q in {qs}, n <= {args.max_n}: "
+                f"congruence checked for q in {qs}, n <= {max_n}: "
                 + ("all hold" if not failures else f"failures: {failures}")
             ],
         )
         return 1 if failures else 0
-    values = [str(value) for value in euler_numbers(args.max_n)]
-    _emit(args, {"max_n": args.max_n, "values": values}, values)
+    values = [str(value) for value in euler_numbers(max_n)]
+    _emit(args, {"max_n": max_n, "values": values}, values)
     return 0
 
 
@@ -393,12 +412,12 @@ _COMMANDS = (
           help="exit 3 once the Hamiltonian path search has entered more "
           "than this many search nodes (vertices, counted on every branch)")),
     ("euler", "zigzag number table and primes",
-     _opt("--max-n", type=_nonnegative, default=30),
+     _opt("--max-n", type=_nonnegative),
      _opt("--congruence", action="store_true"),
      _opt("--q", type=_nonnegative, action="append",
           help="modulus for --congruence (repeatable)"),
      _opt("--primes", action="store_true"),
-     _opt("--bound", type=_nonnegative, default=600)),
+     _opt("--bound", type=_nonnegative)),
     ("verify-all", "run the acceptance suite"),
 )
 

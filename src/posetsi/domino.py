@@ -125,7 +125,7 @@ def _cover_matchings(p: Poset) -> Iterator[DominoTableau]:
         rest = uncovered ^ (1 << u)
         above = p.cover_up[u] & rest
         spare = singleton is None and n % 2 == 1
-        for w in [*iter_bits(above), *iter_bits((hasse[u] & rest) ^ above)]:
+        for w in iter_bits(above) + iter_bits((hasse[u] & rest) ^ above):
             left = rest ^ (1 << w)
             if all(
                 hasse[y] & left or (spare and not p.up[y])

@@ -100,7 +100,7 @@ def _forced_pairs(q: Poset, free: int) -> list[tuple[int, int]] | None:
     1959): peeling such elements either matches everything or stalls."""
     nbr = [up | down for up, down in zip(q.up, q.down)]
     pairs = []
-    todo = list(iter_bits(free))
+    todo = iter_bits(free)
     while todo:
         x = todo.pop()
         only = nbr[x] & free

@@ -326,7 +326,7 @@ def forest_count(p: Poset) -> SignedCount | None:
             if nbrs[x] ^ kids != pbit:
                 return None  # a second path to a seen element: a cycle
             seen |= kids
-            children[x] = list(iter_bits(kids))
+            children[x] = iter_bits(kids)
             stack += [(y, 1 << x) for y in reversed(children[x])]
     sums = []
     for signed in (False, True):

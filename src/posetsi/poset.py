@@ -23,12 +23,15 @@ __all__ = [
 ]
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in increasing order."""
+def iter_bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in increasing order. A list, not
+    a generator: most callers read every bit, and ``canon`` keeps them."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 class PosetStats(NamedTuple):

@@ -75,10 +75,13 @@ def test_census_criteria_fail_with_the_error_text(monkeypatch, number, census, f
     def raising(n):
         raise ResourceLimit(f"census of {n} over its cap")
 
+    passing = NUMBERED[number]()
     monkeypatch.setattr(h2, census, raising)
     result = NUMBERED[number]()
     assert not result.ok
     assert result.details == [f"census of {first} over its cap"]
+    # verify-all names a criterion one way, whether it passes or fails
+    assert result.title == passing.title
 
 
 C11_GRAPHS = "406 graphs built; disconnected: 0, bipartition mismatches: 0"

@@ -368,12 +368,27 @@ def test_euler_congruence_needs_a_modulus(capsys, argv):
     assert err == "error: need modulus >= 2\n"
 
 
-@pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_euler_primes_and_congruence_are_exclusive(capsys, json_flag):
-    code, out, err = run(capsys, "euler", "--primes", "--congruence", *json_flag)
-    assert code == 2
-    assert out == ""
-    assert err == "error: --primes and --congruence are exclusive\n"
+# argv -> the error naming the flag that its mode does not read, or the
+# check it could not run; a new mode-specific flag adds its rows here
+FLAGS_NOT_READ = {
+    "euler --primes --congruence": "--primes and --congruence are exclusive",
+    "euler --primes --congruence --json": "--primes and --congruence are exclusive",
+    "euler --q 3 --max-n 5": "--q needs --congruence",
+    "euler --primes --q 7 --json": "--q needs --congruence",
+    "euler --bound 30 --max-n 3": "--bound needs --primes",
+    "euler --congruence --bound 5 --max-n 20": "--bound needs --primes",
+    "euler --primes --bound 30 --max-n 5": "--primes and --max-n are exclusive",
+    # the congruence mod q is stated for n > q only
+    "euler --congruence --max-n 2 --q 3": "--max-n 2 leaves no n > q = 3 to check",
+    "euler --congruence --max-n 10 --json": "--max-n 10 leaves no n > q = 11 to check",
+    "ruskey chain:3 --path-cap 5 --json": "--path-cap needs --hampath",
+}
+
+
+@pytest.mark.parametrize("argv", list(FLAGS_NOT_READ))
+def test_flags_the_mode_does_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {FLAGS_NOT_READ[argv]}\n")
 
 
 def test_exit_code_malformed(capsys, tmp_path):
