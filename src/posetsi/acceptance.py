@@ -223,7 +223,7 @@ def criterion_9() -> CriterionResult:
     checked = 0
     walked = 0
     for n in range(9):
-        for p in enumerate_posets(n, max_height=2):
+        for p in enumerate_posets(n, height2=True):
             si = signed_count(p).imbalance
             for k in sorted({*range(9), si, si + 1, 20 * si}):
                 checked += 1

@@ -28,8 +28,9 @@ those of the full parser.
 ``--max-n`` (30 by default), ``--primes`` reads ``--bound`` (600 by
 default), and ``--congruence`` reads ``--max-n`` and ``--q``. The
 congruence mod q is stated for n > q, so it needs every modulus below
-``--max-n``. A flag that the chosen mode does not read exits 2 and names
-the flag.
+``--max-n``, which is checked before any table is built; a repeated
+``--q`` is checked once, in the order first given. A flag that the
+chosen mode does not read exits 2 and names the flag.
 """
 
 import argparse
@@ -305,10 +306,12 @@ def _cmd_euler(args) -> int:
         return 0
     max_n = 30 if args.max_n is None else args.max_n
     if args.congruence:
-        qs = args.q or [3, 5, 7, 11]
-        failures = [(n, q) for q in qs for n in congruence_failures(max_n, q)]
+        qs = list(dict.fromkeys(args.q or [3, 5, 7, 11]))
+        if min(qs) < 2:
+            raise ValueError("need modulus >= 2")
         if max(qs) >= max_n:
             raise ValueError(f"--max-n {max_n} leaves no n > q = {max(qs)} to check")
+        failures = [(n, q) for q in qs for n in congruence_failures(max_n, q)]
         payload = {
             "max_n": max_n,
             "q": qs,

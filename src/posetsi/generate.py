@@ -39,18 +39,17 @@ ways to build I and g(I) the ways to finish P from I, both from
 are P's down-sets, the choices of D (for the height-2 lists, those
 within P's minimal elements), so each parent's lattice is walked once.
 
-Every child of a level goes into one bucket, keyed by its e and the
-multiset of (|down v|, |up v|) over its elements. Both are isomorphism
-invariants, so isomorphic children share a bucket. A canonical form is
-computed only when a bucket already holds a child, and the first child
-of each class is kept, as a seen-set of forms over every child would
-keep it. The key is built per child from its parent's multiset in
-O(|D|): the new element adds (|D|, 0), and each y in D moves from
-(d, u) to (d, u + 1). The dict is keyed by the hash of (e, multiset),
-so two keys with one hash share a bucket, which costs a form and loses
-no class. The class counts are checked against known tables. The
-classes are cached per size with their e, for all classes and for
-those of height at most 2, for reuse across sweeps.
+Every child of a level goes into one bucket, keyed by its e and its
+sorted (|down v|, |up v|) rows. The key is read from the child alone,
+not from its parent or labelling, so it is an isomorphism invariant and
+isomorphic children share a bucket whatever their parents. A canonical
+form is computed only when a bucket already holds a child, and the
+first child of each class is kept, as a seen-set of forms over every
+child would keep it. The dict is keyed by the hash of (e, rows), so two
+keys with one hash share a bucket, which costs a form and loses no
+class. The class counts are checked against known tables. The classes
+are cached per size with their e, for all classes and for those of
+height at most 2, for reuse across sweeps.
 """
 
 from functools import lru_cache
@@ -59,7 +58,7 @@ from typing import Iterator
 from .canon import _refined_colors, canonical_form
 from .errors import VerificationError
 from .linext import _through
-from .poset import Poset, _twins, iter_bits, stats
+from .poset import Poset, _twins, iter_bits
 
 __all__ = ["enumerate_posets", "poset_class_count"]
 
@@ -117,26 +116,16 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, int]]:
         yield child, sum(w for i, w in through.items() if i & down_mask == down_mask)
 
 
-def _slot(d: int, u: int) -> int:
-    """1 in the byte of the pair (d, u) of a multiset key; a count past
-    255 carries, and the key stays a function of the multiset."""
-    s = d + u
-    return 1 << 8 * (s * (s + 1) // 2 + u)
-
-
 def _kept(rep: Poset, height2: bool, level: dict) -> Iterator[tuple[Poset, int]]:
     """The children of ``rep`` that are the first of their class in
     ``level``, each with its e. ``level`` maps the hash of a child's e and
-    (|down v|, |up v|) multiset, both invariant, to the first child with
-    that hash, or, once two classes share it, to their forms: a shared
-    hash costs a form and loses no class."""
-    rows = [(d.bit_count(), u.bit_count()) for d, u in zip(rep.down, rep.up)]
-    shape = sum(_slot(d, u) for d, u in rows)
-    moved = [_slot(d, u + 1) - _slot(d, u) for d, u in rows]
+    sorted (|down v|, |up v|) rows, read from the child alone and so
+    invariant, to the first child with that hash, or, once two classes
+    share it, to their forms: a shared hash costs a form and loses no
+    class."""
     for cand, e in _children(rep, height2):
-        below = cand.down[-1]
-        key = shape + _slot(below.bit_count(), 0) + sum(moved[y] for y in iter_bits(below))
-        bucket = hash((e, key))
+        rows = sorted(zip(map(int.bit_count, cand.down), map(int.bit_count, cand.up)))
+        bucket = hash((e, *rows))
         first = level.setdefault(bucket, cand)
         if first is not cand:
             form = canonical_form(cand)
@@ -165,23 +154,20 @@ def _classes(n: int, height2: bool) -> tuple[tuple[Poset, int], ...]:
     return tuple(out)
 
 
-def enumerate_posets(n: int, max_height: int | None = None) -> Iterator[Poset]:
-    """One representative per isomorphism class of posets on n elements.
-
-    ``max_height`` keeps the classes of at most that height: a bound of 2
-    or less prunes generation to height 2, and any bound other than 2 is
-    also a post-filter. The full census at n = 9, the last entry of
+def enumerate_posets(n: int, height2: bool = False) -> Iterator[Poset]:
+    """One representative per isomorphism class of posets on n elements,
+    or with ``height2`` per class of height at most 2, which the census
+    generates directly. Each is the first child of its class, found
+    through a bucket key read from the child alone, so isomorphic
+    children share it. The full census at n = 9, the last entry of
     ``CLASS_COUNTS``, takes about 4.6 s of CPU with e of every class on
     a 2-CPU x86 host.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    height2 = max_height is not None and max_height <= 2
-    every = max_height in (None, 2)
-    classes = _classes(n, height2)
-    return (p for p, _ in classes if every or stats(p).height <= max_height)
+    return (p for p, _ in _classes(n, height2))
 
 
-def poset_class_count(n: int, max_height: int | None = None) -> int:
-    """Number of classes that ``enumerate_posets(n, max_height)`` yields."""
-    return sum(1 for _ in enumerate_posets(n, max_height))
+def poset_class_count(n: int, height2: bool = False) -> int:
+    """Number of classes that ``enumerate_posets(n, height2)`` yields."""
+    return sum(1 for _ in enumerate_posets(n, height2))

@@ -1,9 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetsi
+from posetsi import euler
 from posetsi.cli import build_parser, main
 from posetsi.errors import PosetsiError, ResourceLimit, VerificationError
 from posetsi.h2 import build_lift, good_base
@@ -358,6 +364,23 @@ def test_euler_congruence_two_fails(capsys):
     assert "failures" in out
 
 
+def test_euler_congruence_checks_a_repeated_modulus_once(capsys):
+    code, out, _ = run(
+        capsys, "euler", "--congruence", "--q", "2", "--q", "2", "--max-n", "5", "--json"
+    )
+    assert code == 1
+    assert json.loads(out) == {"failures": [[3, 2], [4, 2], [5, 2]], "max_n": 5, "q": [2]}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(posetsi.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "posetsi", "count", "chain:3", "--json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, '{"e": "1"}\n', "")
+
+
 @pytest.mark.parametrize(
     "argv", [("--q", "1", "--max-n", "1"), ("--q", "0", "--max-n", "0", "--json")]
 )
@@ -381,12 +404,18 @@ FLAGS_NOT_READ = {
     # the congruence mod q is stated for n > q only
     "euler --congruence --max-n 2 --q 3": "--max-n 2 leaves no n > q = 3 to check",
     "euler --congruence --max-n 10 --json": "--max-n 10 leaves no n > q = 11 to check",
+    "euler --congruence --max-n 30 --q 3 --q 30": "--max-n 30 leaves no n > q = 30 to check",
     "ruskey chain:3 --path-cap 5 --json": "--path-cap needs --hampath",
 }
 
 
 @pytest.mark.parametrize("argv", list(FLAGS_NOT_READ))
-def test_flags_the_mode_does_not_read(capsys, argv):
+def test_flags_the_mode_does_not_read(capsys, monkeypatch, argv):
+    # each refusal comes before any Euler table is built
+    def table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(euler, "euler_numbers_mod", table)
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {FLAGS_NOT_READ[argv]}\n")
 

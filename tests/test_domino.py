@@ -487,7 +487,7 @@ def test_more_minimal_than_maximal_blocks_tableaux():
     from posetsi import stats
 
     for n in range(1, 7, 2):
-        for p in enumerate_posets(n, max_height=2):
+        for p in enumerate_posets(n, height2=True):
             if p.isolated_mask:
                 continue
             n_min = bin(p.minimal_mask).count("1")

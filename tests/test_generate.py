@@ -49,7 +49,7 @@ def test_pairwise_non_isomorphic():
 
 def test_height_filter_agrees_with_post_filter():
     for n in range(7):
-        pruned = {p for p in enumerate_posets(n, max_height=2)}
+        pruned = {p for p in enumerate_posets(n, height2=True)}
         filtered = {
             p.relabel(range(p.n))
             for p in enumerate_posets(n)
@@ -71,7 +71,7 @@ def test_negative_size_is_rejected():
     with pytest.raises(ValueError, match="n must be nonnegative"):
         enumerate_posets(-1)
     with pytest.raises(ValueError, match="n must be nonnegative"):
-        poset_class_count(-1, max_height=2)
+        poset_class_count(-1, height2=True)
 
 
 @pytest.fixture
@@ -89,32 +89,22 @@ def test_class_counts_table_is_checked(monkeypatch, own_class_cache):
     with pytest.raises(VerificationError, match="3 elements, expected 6"):
         poset_class_count(3)
     # height-2 generation is not what the table counts
-    assert poset_class_count(3, max_height=2) == 4
-
-
-def test_class_count_honours_every_height_bound():
-    for n in range(7):
-        heights = [stats(p).height for p in enumerate_posets(n)]
-        for h in range(1, 5):
-            want = sum(1 for x in heights if x <= h)
-            assert poset_class_count(n, max_height=h) == want
-    assert poset_class_count(4, max_height=1) == 1
-    assert poset_class_count(4, max_height=3) == 15
+    assert poset_class_count(3, height2=True) == 4
 
 
 def test_height_bounds_share_two_cached_levels(own_class_cache):
-    for h in (None, 1, 2, 3, 4):
-        poset_class_count(5, max_height=h)
+    for height2 in (False, True, False):
+        poset_class_count(5, height2)
     assert own_class_cache.cache_info().currsize == 2 * 6
 
 
 def test_height2_class_counts_table_is_checked(monkeypatch, own_class_cache):
     monkeypatch.setattr(generate, "H2_CLASS_COUNTS", (1, 1, 2, 5))
-    assert poset_class_count(2, max_height=2) == 2
+    assert poset_class_count(2, height2=True) == 2
     with pytest.raises(
         VerificationError, match="4 height-2 classes on 3 elements, expected 5"
     ):
-        poset_class_count(3, max_height=2)
+        poset_class_count(3, height2=True)
     assert poset_class_count(3) == 5
 
 
@@ -196,7 +186,7 @@ def test_pruned_step_is_sound_under_relabelling():
     k33 = from_covers(6, [(i, j) for i in range(3) for j in range(3, 6)])
     parents = [antichain(6), k33, chain(5), zigzag(6)]
     parents += [p for n in range(6) for p in enumerate_posets(n)]
-    parents += list(enumerate_posets(6, max_height=2))
+    parents += list(enumerate_posets(6, height2=True))
     for p in parents:
         for height2 in (False, True) if stats(p).height <= 2 else (False,):
             want = keyed_child_forms(p, height2)
@@ -247,7 +237,7 @@ TOP_FENCE5 = from_covers(5, [(0, 2), (0, 4), (1, 3), (1, 4)])
         ([TWO_FENCES], True, False),
         ([TOP_FENCE5], False, False),
         (list(enumerate_posets(6)), False, True),
-        (list(enumerate_posets(7, max_height=2)), True, True),
+        (list(enumerate_posets(7, height2=True)), True, True),
     ],
     ids=["zigzag5", "crown3", "two-fences", "two-fences-h2", "top-fence5", "level7", "h2-level8"],
 )
@@ -273,7 +263,7 @@ def test_bucket_collisions_keep_one_child_per_class(parents, height2, shared):
 
 def test_add_maximal_rows_match_the_constructor():
     parents = [(p, False) for n in range(7) for p in enumerate_posets(n)]
-    parents += [(p, True) for n in range(9) for p in enumerate_posets(n, max_height=2)]
+    parents += [(p, True) for n in range(9) for p in enumerate_posets(n, height2=True)]
     for p, height2 in parents:
         for child in all_children(p, height2):
             built = Poset(child.n, child.up)
@@ -335,7 +325,7 @@ def test_kept_never_refines_its_parent(height2, nmax):
     # buckets are keyed by e and row sizes, not by the parent's colours;
     # a fresh copy of each class carries none
     for n in range(nmax + 1):
-        for p in enumerate_posets(n, max_height=2 if height2 else None):
+        for p in enumerate_posets(n, height2):
             parent = Poset(p.n, p.up)
             assert list(generate._kept(parent, height2, {}))
             assert parent._colors is None
@@ -369,6 +359,6 @@ def test_census_values_are_the_walk(height2, nmax):
     for n in range(nmax + 1):
         counted = list(generate._classes(n, height2))
         assert [p for p, _ in counted] == list(
-            enumerate_posets(n, max_height=2 if height2 else None)
+            enumerate_posets(n, height2)
         )
         assert [e for _, e in counted] == [count_extensions(p) for p, _ in counted]

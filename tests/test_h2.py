@@ -215,7 +215,7 @@ def test_unique_cover_perfect_matching_is_a_tableau():
     # its peeling pass gives the same base and rel as the matching walk
     unique = 0
     for n in range(9):
-        for q in enumerate_posets(n, max_height=2):
+        for q in enumerate_posets(n, height2=True):
             _assert_matches_reference(q)
             if n % 2:
                 continue
@@ -319,7 +319,7 @@ def test_h2sb_decides_a_large_lift_by_the_walk():
 
 def test_h2sb_matches_brute():
     for n in range(7):
-        for p in enumerate_posets(n, max_height=2):
+        for p in enumerate_posets(n, height2=True):
             si = signed_count(p).imbalance
             for k in range(7):
                 assert h2sb_decide(p, k) == (si >= k)
@@ -341,7 +341,7 @@ def test_count_f_q_values():
     assert count_f_q(6, 2) == 3
     for q in (3, 5, 7):
         assert count_f_q(2, q) == 2  # the two-chain (e=1) and two points (e=2)
-    assert count_f_q(4, 3) <= sum(1 for _ in enumerate_posets(4, max_height=2))
+    assert count_f_q(4, 3) <= sum(1 for _ in enumerate_posets(4, height2=True))
 
 
 def test_odd_e_bounds_tiny():
@@ -503,8 +503,22 @@ def test_spectrum_small(six_vertex_odd):
     assert all(v not in rep["values"] for v in rep["gaps"])
 
 
+def test_height2_si_values_are_zero_and_the_e_values_on_half_as_many():
+    # the lift theorem and ``decompose``: a height-2 poset on at most 2m
+    # elements is sign-balanced, or its si is e of a base on at most m
+    # elements, and every such e is the si of a lift
+    for m in range(1, 5):
+        si = {
+            signed_count(p).imbalance
+            for n in range(2 * m + 1)
+            for p in enumerate_posets(n, height2=True)
+        }
+        e = {count_extensions(p) for n in range(m + 1) for p in enumerate_posets(n)}
+        assert si == {0} | e
+
+
 def test_five_vertex_divisibility():
-    for p in enumerate_posets(5, max_height=2):
+    for p in enumerate_posets(5, height2=True):
         e = count_extensions(p)
         if e % 2 == 1:
             assert e % 5 == 0

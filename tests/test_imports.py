@@ -31,6 +31,7 @@ def test_module_import_graph():
     want = {
         # loads each module by name, on first use of one of its names
         "__init__": set(),
+        "__main__": {"cli"},
         "acceptance": {
             "canon", "domino", "errors", "euler", "generate", "h2", "linext",
             "poset", "ruskey",
