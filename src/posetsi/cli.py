@@ -138,21 +138,19 @@ def _cmd_domino(args) -> int:
         sgn, adapted = domino._term(t, q)
         total += sgn * adapted
         quotient_e = adapted if t.singleton is None else count_extensions(q)
-        item = {
-            "pairs": [list(pr) for pr in t.pairs],
-            "singleton": t.singleton,
-            "sign": sgn,
-            "quotient_e": str(quotient_e),
-            "adapted_count": str(adapted),
-            "quotient": write_poset(q),
-        }
-        items.append(item)
-        lines.append(f"tableau {i}:")
-        lines += ["  " + ln for ln in write_tableau(t).splitlines()]
-        lines.append(
-            f"  sign {item['sign']}  quotient e {item['quotient_e']}"
-            f"  adapted {item['adapted_count']}"
-        )
+        if args.json:
+            items.append({
+                "pairs": [list(pr) for pr in t.pairs],
+                "singleton": t.singleton,
+                "sign": sgn,
+                "quotient_e": str(quotient_e),
+                "adapted_count": str(adapted),
+                "quotient": write_poset(q),
+            })
+        else:
+            lines.append(f"tableau {i}:")
+            lines += ["  " + ln for ln in write_tableau(t).splitlines()]
+            lines.append(f"  sign {sgn}  quotient e {quotient_e}  adapted {adapted}")
     si = abs(total)
     lines.append(f"si (quotient route) = {si}")
     _emit(args, {"tableaux": items, "si": str(si)}, lines)
@@ -246,18 +244,15 @@ def _cmd_spectrum(args) -> int:
     from . import h2
 
     rep = h2.spectrum(args.max_n)
-    payload = {
-        "max_vertices": rep["max_vertices"],
-        "values": rep["values"],
-        "gaps": rep["gaps"],
-        "witnesses": {str(v): write_poset(p) for v, p in rep["witnesses"].items()},
-    }
-    lines = [
-        f"achievable e values (height <= 2, at most {args.max_n} vertices):",
-        " ".join(map(str, rep["values"])),
-        f"gaps below max: {rep['gaps']}",
-    ]
-    _emit(args, payload, lines)
+    if args.json:
+        rep["witnesses"] = {
+            str(v): write_poset(p) for v, p in rep["witnesses"].items()
+        }
+        print(json.dumps(rep, sort_keys=True))
+        return 0
+    print(f"achievable e values (height <= 2, at most {args.max_n} vertices):")
+    print(" ".join(map(str, rep["values"])))
+    print(f"gaps below max: {rep['gaps']}")
     return 0
 
 
@@ -274,15 +269,14 @@ def _cmd_ruskey(args) -> int:
     lines = [f"{k}: {v}" for k, v in rep.items() if k != "path"]
     if "path" in rep:
         lines.append("path: " + " ".join(map(str, rep["path"])))
-    if args.dump_graph:
-        lines.append("vertices:")
-        for i, v in enumerate(g.vertices):
-            lines.append(f"  {i} " + " ".join(map(str, v)))
-        lines.append("edges:")
-        for a, b in g.edges:
-            lines.append(f"  {a} {b}")
+    if args.dump_graph and args.json:
         rep["vertices"] = [list(v) for v in g.vertices]
         rep["edges"] = [list(e) for e in g.edges]
+    elif args.dump_graph:
+        lines.append("vertices:")
+        lines += [f"  {i} " + " ".join(map(str, v)) for i, v in enumerate(g.vertices)]
+        lines.append("edges:")
+        lines += [f"  {a} {b}" for a, b in g.edges]
     _emit(args, rep, lines)
     if rep.get("consistent_with_conjecture") is False:
         return 1

@@ -12,14 +12,19 @@ computed (McKay, "Isomorph-free exhaustive generation", 1998):
   group in a prefix: with an element, D holds all its lower twins.
 * Canonical deletion. A maximal element x of the child C has the key
   (|down x|, number of lower covers, sorted |down y| over its lower
-  covers y, refined colour of x in C), which is invariant under
-  isomorphism. D is kept only if no maximal element of the parent
-  outside D has a larger key than the new element. Adding a maximal
-  element changes no old down-row, so the first three parts are computed
-  once per parent. Keys compare |D| first, so D is dropped before its
-  key is computed when a rival's down-set is larger, and the colour is
-  read only when a rival that is not a twin of the new element ties
-  with it on the first three parts: twins share their colour.
+  covers y, sorted |up y| in C over them, refined colour of x in C).
+  Each part is read from C alone, not from its labelling, so the key is
+  invariant under isomorphism. D is kept only if no maximal element of
+  the parent outside D has a larger key than the new element. Adding a
+  maximal element changes no old down-row, so the first three parts are
+  computed once per parent. Keys compare |D| first, so D is dropped
+  before its key is computed when a rival's down-set is larger. The
+  fourth part is read only for a rival that is not a twin of the new
+  element and ties with it on the first three, and the colour only for
+  one that ties on all four: twins share both. At height 2 the first
+  three parts of the new element are (|D|, |D|, [0, ..., 0]), so the
+  fourth part, where each y in D gains the new element above it, is the
+  first that can tell it from a rival over as many minimal elements.
 
 Why no class is lost: take any class, delete a maximal element x with the
 largest key, and map the rest onto its listed representative; the image
@@ -78,6 +83,13 @@ def _key(p: Poset, below: int) -> tuple:
     )
 
 
+def _ups(child: Poset, below: int) -> list[int]:
+    """The deletion key's fourth part: sorted |up y| in ``child`` over the
+    lower covers y of a maximal element whose strict down-set is ``below``."""
+    up = child.up
+    return sorted(up[y].bit_count() for y in iter_bits(below) if not up[y] & below)
+
+
 def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, int]]:
     """Children of ``rep`` that pass the twin-orbit and canonical-deletion
     rules, each with its e. Every class on rep.n + 1 elements is among
@@ -107,8 +119,15 @@ def _children(rep: Poset, height2: bool) -> Iterator[tuple[Poset, int]]:
             continue
         child = rep.add_maximal(down_mask)
         # rivals tied with the new element x that are not its twins are
-        # weighed against x by their colours in the child
+        # weighed against x by their covers' up-degrees in the child, and
+        # those still tied by their colours there
         ties = [x for k, x in rivals if k == key and rep.down[x] != down_mask]
+        if ties:
+            mine = _ups(child, down_mask)
+            ups = [_ups(child, rep.down[x]) for x in ties]
+            if max(ups) > mine:
+                continue
+            ties = [x for x, u in zip(ties, ups) if u == mine]
         if ties:
             colored = _refined_colors(child)
             if any(colored[x] > colored[-1] for x in ties):

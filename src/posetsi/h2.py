@@ -266,7 +266,9 @@ def odd_e_bounds(n: int) -> dict:
 def spectrum(max_vertices: int) -> dict:
     """Achievable e values over height-<=2 classes with at most
     max_vertices elements, with one witness poset per value, e read from
-    the census values."""
+    the census values. The gaps are the integers in [1, max value) that
+    no class reaches, in increasing order, read off the ranges between
+    consecutive values."""
     from .generate import _classes
 
     if max_vertices < 0 or max_vertices > 8:
@@ -277,8 +279,7 @@ def spectrum(max_vertices: int) -> dict:
             if e not in witnesses:
                 witnesses[e] = p
     values = sorted(witnesses)
-    top = values[-1] if values else 0
-    gaps = [v for v in range(1, top) if v not in witnesses]
+    gaps = [v for a, b in zip([0] + values, values) for v in range(a + 1, b)]
     return {
         "max_vertices": max_vertices,
         "values": values,

@@ -127,6 +127,19 @@ def test_domino(capsys):
     assert rep["si"] == "1"
 
 
+def test_domino_text(capsys):
+    code, out, _ = run(capsys, "domino", "chain:3")
+    assert code == 0
+    assert out.splitlines() == [
+        "tableaux: 1",
+        "tableau 0:",
+        "  pair 0 1",
+        "  single 2",
+        "  sign 1  quotient e 1  adapted 1",
+        "si (quotient route) = 1",
+    ]
+
+
 def test_domino_counts_each_quotient_once(capsys, monkeypatch):
     from posetsi import cli, domino, linext
 
@@ -262,6 +275,16 @@ def test_spectrum(capsys):
     assert 1 in rep["values"] and 2 in rep["values"]
     assert rep["witnesses"]["1"].startswith("n 0")  # smallest witness wins
     assert rep["witnesses"]["2"].startswith("n 2")
+
+
+def test_spectrum_text(capsys):
+    code, out, _ = run(capsys, "spectrum", "--max-n", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "achievable e values (height <= 2, at most 4 vertices):",
+        "1 2 3 4 5 6 8 12 24",
+        "gaps below max: [7, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]",
+    ]
 
 
 def test_ruskey(capsys):

@@ -501,6 +501,8 @@ def test_spectrum_small(six_vertex_odd):
         assert stats(poset).height <= 2
         assert poset.n <= rep["max_vertices"]
     assert all(v not in rep["values"] for v in rep["gaps"])
+    # sorted, and exactly the integers in [1, max value) that are no value
+    assert rep["gaps"] == sorted(set(range(1, max(rep["values"]))) - set(rep["values"]))
 
 
 def test_height2_si_values_are_zero_and_the_e_values_on_half_as_many():

@@ -142,6 +142,12 @@ def test_cli_query_loads_only_the_modules_it_runs():
     # the peel route
     assert _loaded(_query("count", "grid:3:4"), census | others | walks) == []
     assert _loaded(_query("si", "zigzag:4"), census | others) == []
+    # with no bytecode cache a query compiles every module it loads, so
+    # the census queries and euler load none that they do not run
+    idle = census | others | walks | {"posetsi.plan"}
+    for argv in (("spectrum", "--max-n", "1"), ("f", "--n", "1"), ("bounds", "--n", "1")):
+        assert _loaded(_query(*argv), idle - census - {"posetsi.h2"}) == []
+    assert _loaded(_query("euler", "--max-n", "3"), idle - {"posetsi.euler"}) == []
 
 
 def test_package_import_loads_no_module():
